@@ -115,9 +115,11 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     """Solve the implicit surface update; returns (phi', v', newton_iters).
 
     Unknowns are advanced from (phi_n, v_n) with the frozen source q_vals.
-    Newton directions come from a GMRES solve of the Schur complement in phi
-    preconditioned by the constant-coefficient symbol, except on small 1-D
-    grids where a direct dense solve is cheaper.
+    Each Newton direction solves the Schur complement in phi, with v
+    eliminated mode by mode: by dense LU on circles of up to 512 nodes,
+    otherwise by GMRES preconditioned with the midpoint constant-coefficient
+    symbol.  Near the pure states F'' spans orders of magnitude and that
+    GMRES breaks down, which the dense path avoids.
     """
     fft, ifft = grid.fft, grid.ifft
     ksq = -grid.lap_symbol
@@ -154,15 +156,12 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         return r1_h, r2_h, ifft(r1_h), ifft(r2_h)
 
     n_flat = int(np.prod(c1.shape))
-    # small 1-D problems: direct dense Newton solve beats Krylov overheads
+    # at max|phi| ~ 0.9997 GMRES fails (32, 64 nodes) or needs thousands of
+    # iterations (128); the n x n LU takes about 2 ms at 128 nodes
     dense = grid.kind == "circle" and grid.node_count <= 512 and mask is None
     if dense:
-        n = grid.node_count
-        lap = grid.laplacian_matrix()
-        eye = np.eye(n)
-        j11_const = eye + dt * (lap @ lap) - (dt / delta) * lap
-        j12 = (2.0 * dt / delta) * lap
-        j22 = eye - (4.0 * dt / delta) * lap
+        schur = grid.circulant(schur_sym)
+        dt_lap = dt * grid.laplacian_matrix()
 
     for iteration in range(cfg.newton_max_iters + 1):
         r1_h, r2_h, r1, r2 = residual(phi, v)
@@ -176,15 +175,10 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             )
 
         fpp = np.asarray(potential.convex_second(phi))
+        rhs_h = -r1_h + (b_sym / c_sym) * r2_h
         if dense:
-            jac = np.empty((2 * n, 2 * n))
-            jac[:n, :n] = j11_const - dt * (lap * fpp[None, :])
-            jac[:n, n:] = j12
-            jac[n:, :n] = j12
-            jac[n:, n:] = j22
-            sol = np.linalg.solve(jac, np.concatenate([-r1, -r2]))
-            dphi = sol[:n]
-            dv = sol[n:]
+            dphi = np.linalg.solve(schur - dt_lap * fpp, ifft(rhs_h))
+            dphi_h = fft(dphi)
         else:
             cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))
             precond_sym = schur_sym + dt * ksq * cmid
@@ -202,17 +196,15 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
             prec = LinearOperator((n_flat, n_flat), matvec=apply_prec,
                                   dtype=complex)
-            rhs = (-r1_h + (b_sym / c_sym) * r2_h).ravel()
-            sol, info = gmres(op, rhs, rtol=cfg.gmres_tol, atol=0.0,
+            sol, info = gmres(op, rhs_h.ravel(), rtol=cfg.gmres_tol, atol=0.0,
                               restart=60, maxiter=300, M=prec)
             if info != 0:
                 raise NewtonDivergenceError(
                     f"GMRES failed to reach tolerance (info={info}, dt={dt:g})"
                 )
             dphi_h = sol.reshape(c1.shape)
-            dv_h = (-r2_h - b_sym * dphi_h) / c_sym
             dphi = ifft(dphi_h)
-            dv = ifft(dv_h)
+        dv = ifft((-r2_h - b_sym * dphi_h) / c_sym)
 
         alpha = 1.0
         if singular:

@@ -126,20 +126,23 @@ class SurfaceGrid:
         """Multiplier of the Laplace-Beltrami operator in rfft layout (-|k|^2)."""
         return -self._ksq
 
+    def circulant(self, symbol):
+        """Dense physical-space matrix of the Fourier multiplier `symbol`
+        (rfft layout; circle grids only), built with one batched transform."""
+        if self.kind != CIRCLE:
+            raise ValueError("dense operators are only built for circle grids")
+        n = self.shape[0]
+        basis_h = _fft.rfft(np.eye(n), axis=0)
+        return _fft.irfft(symbol[:, None] * basis_h, n=n, axis=0)
+
     def laplacian_matrix(self):
         """Dense physical-space Laplacian (circle grids only, cached).
 
         Small 1-D problems solve implicit systems directly with it instead of
         iterating; the matrix is the exact spectral operator.
         """
-        if self.kind != CIRCLE:
-            raise ValueError("dense Laplacian is only built for circle grids")
         if self._lap_matrix is None:
-            n = self.shape[0]
-            mat = np.empty((n, n))
-            basis = np.eye(n)
-            for j in range(n):
-                mat[:, j] = self.laplacian(basis[j])
+            mat = self.circulant(self.lap_symbol)
             mat.setflags(write=False)
             self._lap_matrix = mat
         return self._lap_matrix

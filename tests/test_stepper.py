@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,77 @@ def test_temporal_first_order():
         errs.append(CIRCLE.l2_norm(traj.final_state.phi.values
                                    - ref.final_state.phi.values))
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
+
+
+def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
+                            cfg):
+    """Damped Newton on the full 2n x 2n block Jacobian in physical space
+    (dense circle Laplacian, no Schur elimination), as (phi, v, iters)."""
+    n = grid.node_count
+    lap = grid.laplacian_matrix()
+    eye = np.eye(n)
+    theta0 = potential.split_coefficient
+    j11 = eye + dt * (lap @ lap) - (dt / delta) * lap
+    j12 = (2.0 * dt / delta) * lap
+    j22 = eye - (4.0 * dt / delta) * lap
+    phi, v = phi_n.copy(), v_n.copy()
+    for iteration in range(cfg.newton_max_iters + 1):
+        eta = (2.0 / delta) * (2.0 * v - 1.0 - phi)
+        mu = -lap @ phi + potential.convex_deriv(phi) - theta0 * phi_n - 0.5 * eta
+        r1 = phi - phi_n - dt * (lap @ mu)
+        r2 = v - v_n - dt * (lap @ eta) - dt * q_vals
+        if max(np.max(np.abs(r1)), np.max(np.abs(r2))) <= cfg.newton_tol:
+            return phi, v, iteration
+        jac = np.block([[j11 - dt * lap * potential.convex_second(phi), j12],
+                        [j12, j22]])
+        step = np.linalg.solve(jac, -np.concatenate([r1, r2]))
+        alpha = 1.0
+        limit = max(1.0 - stepper_mod.SEPARATION_MARGIN, np.max(np.abs(phi)))
+        while np.max(np.abs(phi + alpha * step[:n])) > limit:
+            alpha *= cfg.damping
+        phi = phi + alpha * step[:n]
+        v = v + alpha * step[n:]
+    raise AssertionError("reference Newton did not converge")
+
+
+def _kappa_circle_case():
+    # the kappa-sweep setup run to t = 2, where phi presses against +-1
+    grid = rs.SurfaceGrid.circle(128)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=4.5),
+                       exchange=rs.ReactionExchange(b1=0.2, b2=0.2))
+    cfg = rs.StepperConfig(dt=1e-2)
+    st = reduced_state(grid, seed=21, amplitude=0.5, cutoff=4)
+    st = rs.run(st, params, cfg, rs.Schedule(t_final=2.0,
+                                             sample_stride=10**6)).final_state
+    assert np.max(np.abs(st.phi.values)) >= 0.999
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    return st, params, cfg, q
+
+
+def _full_disk_case():
+    st = full_state(rs.DiskGrid(24, 64), seed=5, amplitude=0.3)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.EquilibriumExchange(a0=1.0))
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, rs.trace_boundary(st.u), eta,
+                      st.phi, st.v, st.t)
+    return st, params, rs.StepperConfig(dt=2e-3), q
+
+
+@pytest.mark.parametrize("case", [_kappa_circle_case, _full_disk_case])
+def test_dense_schur_newton_matches_block_reference(case):
+    st, params, cfg, q = case()
+    # newton_tol 1e-3 stops both solves after one step, which compares the
+    # Newton direction itself rather than only the root
+    for solve_cfg in (cfg, replace(cfg, newton_tol=1e-3)):
+        args = (st.phi.grid, params.potential, params.delta, cfg.dt,
+                st.phi.values, st.v.values, q.values, solve_cfg)
+        phi, v, iters = stepper_mod._solve_surface(*args)
+        phi_ref, v_ref, iters_ref = _block_newton_reference(*args)
+        assert iters == iters_ref
+        assert np.max(np.abs(phi - phi_ref)) <= 1e-12
+        assert np.max(np.abs(v - v_ref)) <= 1e-12
 
 
 def test_dt_halving_retry(monkeypatch):
