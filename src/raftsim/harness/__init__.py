@@ -16,6 +16,7 @@ from .experiments import (
     experiment_large_d,
 )
 from .io import (
+    CorruptSnapshotError,
     SnapshotMismatchError,
     param_hash,
     read_series,

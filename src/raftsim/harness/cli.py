@@ -25,7 +25,8 @@ from .experiments import (
     experiment_kappa_refinement,
     experiment_large_d,
 )
-from .io import SnapshotMismatchError, param_hash, read_snapshot, write_series, write_snapshot
+from .io import (CorruptSnapshotError, SnapshotMismatchError, param_hash,
+                 read_snapshot, write_series, write_snapshot)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"cannot read {exc.filename}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SnapshotMismatchError as exc:
+    except (SnapshotMismatchError, CorruptSnapshotError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG
     except (DtUnderflowError, NewtonDivergenceError, NonConvergenceError) as exc:

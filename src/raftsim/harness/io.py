@@ -8,12 +8,16 @@ field names/sizes, and exact scalars as C99 hex floats), followed by the raw
 little-endian float64 payload of each field in declared order.  Reading a
 snapshot reproduces the state bit-exactly; a parameter hash recorded at write
 time lets resume refuse configs that would silently change the physics.
+Snapshots are written atomically, and a file whose header does not parse or
+whose payload differs from the declared size is refused on read.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +30,10 @@ from .config import RunConfig, serialize_config
 
 class SnapshotMismatchError(RuntimeError):
     """Snapshot was produced under a different physical configuration."""
+
+
+class CorruptSnapshotError(ValueError):
+    """Snapshot header is unreadable, or the payload is not the declared size."""
 
 
 def write_series(records, path):
@@ -84,7 +92,8 @@ def _grid_spec(state):
 
 
 def write_snapshot(state, path, param_hash: str = ""):
-    """Serialize a state; roundtrips bit-exactly through read_snapshot."""
+    """Serialize a state; roundtrips bit-exactly through read_snapshot.
+    Atomic: a failure mid-write leaves any previous file at `path` intact."""
     if isinstance(state, FullState):
         header = {
             "system": "full",
@@ -111,23 +120,40 @@ def write_snapshot(state, path, param_hash: str = ""):
         payload = [state.phi.values, state.v.values]
     else:
         raise TypeError(f"cannot snapshot {type(state).__name__}")
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        for arr in payload:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
+            for arr in payload:
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_snapshot(path, expect_param_hash: str | None = None):
     """Load a snapshot; returns (state, param_hash_recorded_at_write)."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
+        line = fh.readline()
         blob = fh.read()
+    try:
+        header = json.loads(line.decode())
+        declared = 8 * sum(count for _, count in header["fields"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptSnapshotError(
+            f"{path}: unreadable snapshot header ({exc!r})") from exc
     stored_hash = header.get("param_hash", "")
     if expect_param_hash is not None and stored_hash != expect_param_hash:
         raise SnapshotMismatchError(
             "snapshot was written under a different configuration "
             f"(stored {stored_hash[:12]}..., expected {expect_param_hash[:12]}...)")
 
+    if len(blob) != declared:
+        raise CorruptSnapshotError(
+            f"{path}: payload holds {len(blob)} bytes, the header declares "
+            f"{declared}")
     arrays = {}
     offset = 0
     for name, count in header["fields"]:

@@ -20,12 +20,6 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .potentials import DoubleWell, LOGARITHMIC
-from .stepper import (
-    NewtonDivergenceError,
-    StepperConfig,
-    _pin_zero_modes,
-    _solve_surface,
-)
 from .surface import SurfaceField, SurfaceGrid
 
 _MARGIN = 1e-13
@@ -39,124 +33,73 @@ class NonConvergenceError(RuntimeError):
         self.best_residual = best_residual
 
 
+def _residual_field(grid, potential, phi):
+    """-lap(phi) + W'(phi) - <W'(phi)>, the L2 gradient of the energy on
+    the mean-m slice."""
+    wp = np.asarray(potential.deriv(phi))
+    return -grid.laplacian(phi) + wp - grid.mean(wp)
+
+
 def steady_residual(phi: SurfaceField, potential: DoubleWell) -> float:
     """L2 norm of -lap(phi) + W'(phi) - <W'(phi)>."""
-    g = phi.grid
-    wp = np.asarray(potential.deriv(phi.values))
-    r = -g.laplacian(phi.values) + wp - g.mean(wp)
-    return g.l2_norm(r)
+    return phi.grid.l2_norm(_residual_field(phi.grid, potential, phi.values))
 
 
-def _newton_attempt(grid, potential, m, phi, tol, max_iters, gmres_tol=1e-12):
-    """Damped Newton on the mean-m slice; returns (phi, residual, converged)."""
-    fft, ifft = grid.fft, grid.ifft
+def _step_solver(grid):
+    """Return solve(wpp, rhs, dt), the mean-free delta with
+    (K^-1/dt + J) delta = rhs on the mean-free slice, where K = -lap and
+    J = -lap + W''(phi) with wpp = W''(phi); None if GMRES fails."""
     ksq = -grid.lap_symbol
-    kmin_sq = float(np.min(ksq[ksq > 0]))
-    singular = potential.kind == LOGARITHMIC
-    n_flat = int(np.prod(ksq.shape))
-    zero = (0,) * ksq.ndim
+    kinv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
-    def residual_field(p):
-        wp = np.asarray(potential.deriv(p))
-        return -grid.laplacian(p) + wp - grid.mean(wp)
-
-    dense = grid.kind == "circle" and grid.node_count <= 512
-    if dense:
+    if grid.kind == "circle" and grid.node_count <= 512:
         n = grid.node_count
-        lap = grid.laplacian_matrix()
-        eye = np.eye(n)
+        kinv_mat = grid.circulant(kinv)
+        k_mat = -grid.laplacian_matrix()
         avg = np.full((n, n), 1.0 / n)
-        proj = eye - avg
+        proj = np.eye(n) - avg
 
-    res_field = residual_field(phi)
-    res = grid.l2_norm(res_field)
-    for _ in range(max_iters):
-        if res <= tol:
-            return phi, res, True
-        wpp = np.asarray(potential.second(phi))
-        if dense:
-            jac = -lap + eye * wpp[:, None]
+        def solve(wpp, rhs, dt):
+            jac = kinv_mat / dt + k_mat + np.diag(wpp)
             # restrict to the mean-free slice; the complement is padded to
             # keep the system nonsingular
-            sys = proj @ jac @ proj + avg
-            dphi = np.linalg.solve(sys, proj @ (-res_field))
-        else:
-            cmid = 0.5 * (float(wpp.min()) + float(wpp.max()))
-            shift = max(cmid, -0.9 * kmin_sq)
-            prec_sym = ksq + shift
-            prec_sym[zero] = 1.0
+            return np.linalg.solve(proj @ jac @ proj + avg, rhs)
+        return solve
 
-            def matvec(x):
-                xh = x.reshape(ksq.shape).copy()
-                xh[zero] = 0.0
-                out = ksq * xh + fft(wpp * ifft(xh))
-                out[zero] = 0.0
-                return out.ravel()
+    fft, ifft = grid.fft, grid.ifft
+    kmin_sq = float(np.min(ksq[ksq > 0]))
+    n_flat = ksq.size
+    zero = (0,) * ksq.ndim
 
-            op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
-            prec = LinearOperator(
-                (n_flat, n_flat),
-                matvec=lambda x: (x.reshape(ksq.shape) / prec_sym).ravel(),
-                dtype=complex)
-            rhs = fft(-res_field)
-            rhs[zero] = 0.0
-            sol, info = gmres(op, rhs.ravel(), rtol=gmres_tol, atol=0.0,
-                              restart=60, maxiter=300, M=prec)
-            if info != 0:
-                return phi, res, False
-            dphi = ifft(sol.reshape(ksq.shape))
-        dphi -= grid.mean(dphi)
+    def solve(wpp, rhs, dt):
+        sym = kinv / dt + ksq
+        shift = max(0.5 * (float(wpp.min()) + float(wpp.max())), -0.9 * kmin_sq)
+        prec_sym = sym + shift
+        prec_sym[zero] = 1.0
 
-        alpha = 1.0
-        while True:
-            cand = phi + alpha * dphi
-            if singular and np.max(np.abs(cand)) > 1.0 - _MARGIN:
-                alpha *= 0.5
-            else:
-                cand_res_field = residual_field(cand)
-                cand_res = grid.l2_norm(cand_res_field)
-                if cand_res <= (1.0 - 1e-4 * alpha) * res or alpha < 1e-6:
-                    break
-                alpha *= 0.5
-            if alpha < 1e-8:
-                return phi, res, False
-        phi = cand - grid.mean(cand) + m
-        res_field = cand_res_field
-        res = cand_res
-    return phi, res, res <= tol
+        def matvec(x):
+            xh = x.reshape(ksq.shape).copy()
+            xh[zero] = 0.0
+            out = sym * xh + fft(wpp * ifft(xh))
+            out[zero] = 0.0
+            return out.ravel()
 
-
-def _flow_steps(grid, potential, phi, n_steps, dt):
-    """Mass-conserving gradient-flow steps of the uncoupled dynamics.
-
-    Reuses the implicit surface solver with the affinity coupling switched
-    off (delta -> infinity) and no exchange, i.e. plain conservative descent
-    of the well energy.  Returns (phi, dt) with dt adapted on failures.
-    """
-    huge_delta = 1e30
-    v = np.zeros(grid.shape)
-    q = np.zeros(grid.shape)
-    done = 0
-    while done < n_steps:
-        cfg = StepperConfig(dt=dt, newton_tol=1e-11)
-        try:
-            new_phi, _, _ = _solve_surface(grid, potential, huge_delta, dt,
-                                           phi, v, q, cfg)
-        except NewtonDivergenceError:
-            dt *= 0.5
-            if dt < 1e-10:
-                raise
-            continue
-        _pin_zero_modes(grid, new_phi, v, phi, v, q, dt)
-        phi = new_phi
-        done += 1
-        dt = min(dt * 1.3, 50.0)
-    return phi, dt
+        op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
+        prec = LinearOperator(
+            (n_flat, n_flat),
+            matvec=lambda x: (x.reshape(ksq.shape) / prec_sym).ravel(),
+            dtype=complex)
+        rhs_h = fft(rhs)
+        rhs_h[zero] = 0.0
+        sol, info = gmres(op, rhs_h.ravel(), rtol=1e-12, atol=0.0,
+                          restart=60, maxiter=300, M=prec)
+        return ifft(sol.reshape(ksq.shape)) if info == 0 else None
+    return solve
 
 
 def _unstable_constant(grid, potential, phi, init_vals):
-    """True when Newton collapsed a genuinely varying guess onto a constant
-    state that is linearly unstable (smallest nonzero mode k has
+    """True when the solve collapsed a genuinely varying guess onto a
+    constant state that is linearly unstable (smallest nonzero mode k has
     k^2 + W''(m) < 0), i.e. onto a saddle the conservative flow would leave."""
     if np.ptp(phi) > 1e-8 or np.ptp(init_vals) < 1e-6:
         return False
@@ -167,47 +110,72 @@ def _unstable_constant(grid, potential, phi, init_vals):
 
 def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
                          init: SurfaceField, tol: float = 1e-10,
-                         max_newton: int = 60,
-                         max_flow_rounds: int = 400) -> SurfaceField:
+                         max_steps: int = 500) -> SurfaceField:
     """Solve the constrained stationary problem with mean value m.
 
-    Damped Newton first; if it stalls, or collapses a varying guess onto a
-    linearly unstable constant state, conservative gradient-flow rounds steer
-    the iterate into the Newton basin of a flow-consistent solution.  Raises
-    NonConvergenceError with the best residual if the target is never met.
+    Pseudo-transient continuation (Kelley & Keyes 1998) along the
+    conservative H^-1 gradient flow of the energy: each step solves
+    (K^-1/dt + J) delta = -F once on the mean-m slice, with K = -lap,
+    J = -lap + W''(phi) and F the steady residual field; densely on circles
+    up to 512 nodes, by GMRES otherwise.  dt starts at 0.05 and follows
+    switched evolution relaxation, dt <- dt ||F_old|| / ||F_new||, with the
+    factor clamped to [1.2, 10], so the loop turns into Newton's method near
+    a root.  A step is taken only if it descends the energy
+    (<F, delta> < 0), else dt is halved; a non-finite candidate, one that
+    raises ||F|| more than tenfold, or a failed Krylov solve cuts dt by 4.
+    Iterates are damped to stay inside |phi| < 1 on the logarithmic well.
+    Raises NonConvergenceError with the best residual if the target is not
+    met within max_steps linear solves, or if a varying guess ends on a
+    linearly unstable constant state (a saddle).
     """
     if not -1.0 < m < 1.0:
         raise ValueError(f"mean value must lie in (-1, 1), got {m}")
     if init.grid != grid:
         raise ValueError("initial guess lives on a different grid")
     phi = init.values - grid.mean(init.values) + m
-    if potential.kind == LOGARITHMIC and np.max(np.abs(phi)) >= 1.0:
+    singular = potential.kind == LOGARITHMIC
+    if singular and np.max(np.abs(phi)) > 1.0 - _MARGIN:
         raise ValueError("initial guess must satisfy max|phi| < 1")
 
     init_vals = phi.copy()
-    phi, res, ok = _newton_attempt(grid, potential, m, phi, tol, max_newton)
-    best = res
-    if ok and not _unstable_constant(grid, potential, phi, init_vals):
-        return SurfaceField(grid, phi)
-    if ok:
-        # restart the flow from the original guess, away from the saddle
-        phi = init_vals
-
+    solve = _step_solver(grid)
+    res_field = _residual_field(grid, potential, phi)
+    res = best = grid.l2_norm(res_field)
     dt = 0.05
-    for _ in range(max_flow_rounds):
-        try:
-            phi, dt = _flow_steps(grid, potential, phi, n_steps=25, dt=dt)
-        except NewtonDivergenceError as exc:
-            raise NonConvergenceError(
-                f"fallback flow broke down at residual {best:.3e}: {exc}", best
-            ) from exc
-        phi = phi - grid.mean(phi) + m
-        phi, res, ok = _newton_attempt(grid, potential, m, phi, tol, max_newton)
+    for _ in range(max_steps):
+        if res <= tol:
+            break
+        dphi = solve(np.asarray(potential.second(phi)), -res_field, dt)
+        if dphi is not None:
+            dphi -= grid.mean(dphi)
+            if grid.integral(res_field * dphi) >= 0.0:
+                dt *= 0.5  # not a descent direction of the energy
+                continue
+            alpha = 1.0
+            while singular and np.max(np.abs(phi + alpha * dphi)) > 1.0 - _MARGIN:
+                alpha *= 0.5
+            cand = phi + alpha * dphi
+            cand_field = _residual_field(grid, potential, cand)
+            cand_res = grid.l2_norm(cand_field)
+        if dphi is None or not cand_res <= 10.0 * res:
+            dt *= 0.25
+            continue
+        # Unclamped, the factor shrinks dt while the flow leaves a saddle,
+        # where ||F|| rightly grows, and lets dt jump past the stability
+        # limit of a negative-curvature mode the descent test cannot see.
+        dt *= min(max(res / cand_res, 1.2), 10.0) if cand_res > 0.0 else 10.0
+        phi, res_field, res = cand, cand_field, cand_res
         best = min(best, res)
-        if ok:
-            return SurfaceField(grid, phi)
-    raise NonConvergenceError(
-        f"stationary solve stalled at residual {best:.3e} (target {tol:g})", best)
+    if res > tol:
+        raise NonConvergenceError(
+            f"stationary solve stalled at residual {best:.3e} (target {tol:g}) "
+            f"after {max_steps} steps", best)
+    if _unstable_constant(grid, potential, phi, init_vals):
+        raise NonConvergenceError(
+            f"the varying guess converged onto the constant state {m:g}, a "
+            "linearly unstable saddle of the energy; the guess lacks the "
+            "unstable mode the flow would follow", res)
+    return SurfaceField(grid, phi)
 
 
 @dataclass

@@ -99,6 +99,27 @@ def test_resume_refuses_other_physics(config_file, tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
+def test_resume_rejects_truncated_snapshot(config_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run-reduced", "--config", str(config_file),
+                 "--out", str(out)]) == 0
+    snap = out / "final.snap"
+    snap.write_bytes(snap.read_bytes()[:-8])
+    code = main(["run-reduced", "--config", str(config_file),
+                 "--out", str(tmp_path / "o2"), "--resume", str(snap)])
+    assert code == 2
+    assert "payload" in capsys.readouterr().err
+
+
+def test_resume_rejects_garbage_header(config_file, tmp_path, capsys):
+    snap = tmp_path / "bad.snap"
+    snap.write_bytes(b"{not json\n" + bytes(512))
+    code = main(["run-reduced", "--config", str(config_file),
+                 "--out", str(tmp_path / "o"), "--resume", str(snap)])
+    assert code == 2
+    assert "snapshot header" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_solver_failure_exit_code(config_file, tmp_path, capsys):
     # an impossible iteration budget forces the fallback chain to bottom out
@@ -120,6 +141,21 @@ def test_steady_command(tmp_path):
     report = json.loads((out / "stationary.json").read_text())
     assert report["residual"] <= 1e-9
     assert (out / "stationary_phi.csv").exists()
+
+
+@pytest.mark.parametrize("amplitude, seed", [(0.1, 1), (0.1, 2), (0.3, 3)])
+def test_steady_command_finds_pattern(tmp_path, amplitude, seed):
+    # the guesses have mean 0 and W''(0) + 1 < 0: the flat state is a saddle,
+    # and the solve must follow the k = 1 mode of the guess to a pattern
+    cfg = tmp_path / "steady.ini"
+    cfg.write_text(REDUCED.replace("amplitude = 0.1", f"amplitude = {amplitude}")
+                   .replace("seed = 7", f"seed = {seed}"))
+    out = tmp_path / "out"
+    assert main(["steady", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "stationary.json").read_text())
+    assert report["residual"] <= 1e-9
+    phi = np.loadtxt(out / "stationary_phi.csv", skiprows=1)
+    assert np.ptp(phi) > 1.0
 
 
 def test_sweep_kappa_command(tmp_path):

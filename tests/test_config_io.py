@@ -164,6 +164,23 @@ def test_snapshot_hash_guard(tmp_path):
         h.read_snapshot(path, expect_param_hash="bbbb")
 
 
+def test_snapshot_write_is_atomic(tmp_path):
+    grid = rs.SurfaceGrid.circle(16)
+    st = rs.ReducedState.from_mass(
+        0.0, rs.SurfaceField.constant(grid, 0.1),
+        rs.SurfaceField.constant(grid, 0.5), total_mass=np.pi)
+    path = tmp_path / "s.snap"
+    h.write_snapshot(st, path, "aaaa")
+    before = path.read_bytes()
+    # phi is written, then v fails to convert: the write stops mid-payload
+    st.phi.values = np.full(16, 0.2)
+    st.v.values = np.array(["x"] * 16)
+    with pytest.raises(ValueError):
+        h.write_snapshot(st, path, "aaaa")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["s.snap"]
+
+
 def test_param_hash_tracks_physics_only():
     base = h.parse_config(MINIMAL_REDUCED)
     same_schedule = h.parse_config(MINIMAL_REDUCED,

@@ -1,11 +1,43 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 import raftsim as rs
+import raftsim.harness as h
 from conftest import lowpass_field
 
 CIRCLE = rs.SurfaceGrid.circle(64)
 POT = rs.DoubleWell(theta=1.0, theta0=2.5)
+
+# random guess of the steady benchmark panel: circle 32, theta0 = 4.5
+PANEL = """
+[run]
+system = reduced
+[geometry]
+kind = circle
+n = 32
+[potential]
+theta = 1.0
+theta0 = 4.5
+[exchange]
+kind = reaction
+[stepper]
+dt = 1e-3
+[initial]
+kind = random
+seed = 4
+amplitude = 0.3
+[schedule]
+t_final = 0.02
+"""
+
+
+def smallest_hessian_eigenvalue(phi, potential):
+    """lambda_min of -lap + W''(phi) on the mean-free slice (circle grids)."""
+    grid = phi.grid
+    basis = null_space(np.ones((1, grid.node_count)))
+    hess = -grid.laplacian_matrix() + np.diag(potential.second(phi.values))
+    return np.linalg.eigvalsh(basis.T @ hess @ basis)[0]
 
 
 def test_constant_guess_returns_constant():
@@ -25,6 +57,37 @@ def test_unstable_constant_yields_pattern():
     assert abs(CIRCLE.mean(sol.values)) <= 1e-12
     assert np.ptp(sol.values) > 0.5
     assert np.max(np.abs(sol.values)) < 1.0
+
+
+@pytest.mark.parametrize("m", [0.0, 0.2])
+def test_small_unstable_mode_grows(m):
+    # the flat state m is a saddle (1 + W''(m) < 0); a guess that carries
+    # the unstable k = 1 mode at amplitude 0.01 must grow it into a pattern
+    grid = rs.SurfaceGrid.circle(32)
+    init = rs.SurfaceField(grid, 0.01 * np.cos(grid.nodes()))
+    sol = rs.solve_stationary_phi(grid, POT, m, init, tol=1e-10)
+    assert rs.steady_residual(sol, POT) <= 1e-10
+    assert abs(grid.mean(sol.values) - m) <= 1e-12
+    assert np.ptp(sol.values) > 1.0
+
+
+def test_symmetric_guess_names_the_saddle():
+    # cos 2 theta lacks the unstable k = 1 mode, so the flow ends on the flat
+    # saddle; the solver must refuse it rather than return it
+    init = rs.SurfaceField(CIRCLE, 0.3 * np.cos(2 * CIRCLE.nodes()))
+    with pytest.raises(rs.NonConvergenceError, match="saddle"):
+        rs.solve_stationary_phi(CIRCLE, POT, 0.0, init, tol=1e-10)
+
+
+def test_panel_solve_is_linearly_stable():
+    # the pattern sits at a lattice minimum, not at the pinned saddle half a
+    # cell away whose Hessian has a negative eigenvalue
+    cfg = h.parse_config(PANEL)
+    grid = cfg.build_surface_grid()
+    init = cfg.build_initial_state().phi
+    sol = rs.solve_stationary_phi(grid, cfg.potential, 0.2, init, tol=1e-10)
+    assert rs.steady_residual(sol, cfg.potential) <= 1e-10
+    assert smallest_hessian_eigenvalue(sol, cfg.potential) > 1e-3
 
 
 def test_stable_constant_attracts():
