@@ -95,8 +95,13 @@ def _cmd_run(args, system):
         state = cfg.build_initial_state()
         schedule = cfg.schedule
 
+    # name checkpoints by the step counted from t = 0, so a resumed run
+    # does not overwrite the checkpoint it started from
+    first_step = round(state.t / cfg.stepper.dt)
+
     def checkpoint(snap_state, step_index):
-        write_snapshot(snap_state, out / f"checkpoint_{step_index:08d}.snap",
+        write_snapshot(snap_state,
+                       out / f"checkpoint_{first_step + step_index:08d}.snap",
                        digest)
 
     try:

@@ -256,14 +256,16 @@ def surface_energy(phi: SurfaceField, v: SurfaceField, params: Params) -> float:
     return 0.5 * grid.h1_seminorm_sq(phi.values) + well + affinity
 
 
+def bulk_energy(state: State) -> float:
+    """Bulk quadratic part of the total free energy."""
+    if isinstance(state, FullState):
+        return 0.5 * bulk_integral(BulkField(state.u.grid, state.u.values**2))
+    return 0.5 * state.omega_measure * state.u**2
+
+
 def total_energy(state: State, params: Params) -> float:
     """Total free energy: bulk quadratic part plus the surface energy."""
-    if isinstance(state, FullState):
-        bulk_part = 0.5 * bulk_integral(
-            BulkField(state.u.grid, state.u.values**2))
-    else:
-        bulk_part = 0.5 * state.omega_measure * state.u**2
-    return bulk_part + surface_energy(state.phi, state.v, params)
+    return bulk_energy(state) + surface_energy(state.phi, state.v, params)
 
 
 def masses(state: State) -> tuple[float, float]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
@@ -29,6 +30,7 @@ from .model import (
     FullState,
     Params,
     ReducedState,
+    bulk_energy,
     chem_eta,
     chem_mu,
     exchange_q,
@@ -37,7 +39,6 @@ from .model import (
     reduced_u_from_mass,
     separation_margin,
     surface_energy,
-    total_energy,
 )
 from .potentials import LOGARITHMIC
 from .surface import SurfaceField, surface_integral
@@ -111,6 +112,34 @@ class Trajectory:
 
 # -- implicit surface solve ---------------------------------------------------
 
+@lru_cache(maxsize=16)
+def _step_operators(grid, delta, dt, dealias):
+    """The dt-dependent operators of one surface step, built once per
+    (grid, delta, dt, dealias): the symbols b, c, the Schur symbol and b/c,
+    fft(1), and on dense circles the Schur circulant and dt * Laplacian
+    (None elsewhere).
+
+    The cache is bounded (dt halving adds a few keys per run) and shared by
+    the sweep's threads, which is safe because every array is read-only.
+    """
+    ksq = -grid.lap_symbol
+    c1 = 1.0 + dt * ksq**2 + (dt / delta) * ksq
+    b_sym = -(2.0 * dt / delta) * ksq
+    c_sym = 1.0 + (4.0 * dt / delta) * ksq
+    schur_sym = c1 - b_sym**2 / c_sym
+    # at max|phi| ~ 0.9997 GMRES fails (32, 64 nodes) or needs thousands of
+    # iterations (128); the n x n LU takes about 0.15 ms at 128 nodes
+    dense = grid.kind == "circle" and grid.node_count <= 512 and not dealias
+    ops = (b_sym, c_sym, schur_sym, b_sym / c_sym,
+           grid.fft(np.ones(grid.shape)),
+           grid.circulant(schur_sym) if dense else None,
+           dt * grid.laplacian_matrix() if dense else None)
+    for arr in ops:
+        if arr is not None:
+            arr.setflags(write=False)
+    return ops
+
+
 def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     """Solve the implicit surface update; returns (phi', v', newton_iters).
 
@@ -119,33 +148,30 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     eliminated mode by mode: by dense LU on circles of up to 512 nodes,
     otherwise by GMRES preconditioned with the midpoint constant-coefficient
     symbol.  Near the pure states F'' spans orders of magnitude and that
-    GMRES breaks down, which the dense path avoids.
+    GMRES breaks down, which the dense path avoids.  The iterate is carried
+    in Fourier space (phi also at the nodes, for F' and the damping), so a
+    residual transforms only F'(phi).
     """
     fft, ifft = grid.fft, grid.ifft
     ksq = -grid.lap_symbol
     theta0 = potential.split_coefficient
     singular = potential.kind == LOGARITHMIC
     mask = grid.dealias if cfg.dealias else None
+    b_sym, c_sym, schur_sym, b_over_c, one_h, schur, dt_lap = _step_operators(
+        grid, delta, dt, cfg.dealias)
 
     phin_h = fft(phi_n)
     vn_h = fft(v_n)
     q_h = fft(q_vals)
     if mask is not None:
         q_h = mask * q_h
-    one_h = fft(np.ones(grid.shape))
 
     two_d = 2.0 / delta
-    c1 = 1.0 + dt * ksq**2 + (dt / delta) * ksq
-    b_sym = -(2.0 * dt / delta) * ksq
-    c_sym = 1.0 + (4.0 * dt / delta) * ksq
-    schur_sym = c1 - b_sym**2 / c_sym
-
     phi = phi_n.copy()
-    v = v_n.copy()
+    phi_h = phin_h
+    v_h = vn_h
 
-    def residual(phi, v):
-        phi_h = fft(phi)
-        v_h = fft(v)
+    def residual(phi, phi_h, v_h):
         fp_h = fft(np.asarray(potential.convex_deriv(phi)))
         if mask is not None:
             fp_h = mask * fp_h
@@ -155,19 +181,13 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         r2_h = v_h - vn_h + dt * ksq * eta_h - dt * q_h
         return r1_h, r2_h, ifft(r1_h), ifft(r2_h)
 
-    n_flat = int(np.prod(c1.shape))
-    # at max|phi| ~ 0.9997 GMRES fails (32, 64 nodes) or needs thousands of
-    # iterations (128); the n x n LU takes about 2 ms at 128 nodes
-    dense = grid.kind == "circle" and grid.node_count <= 512 and mask is None
-    if dense:
-        schur = grid.circulant(schur_sym)
-        dt_lap = dt * grid.laplacian_matrix()
-
+    n_flat = schur_sym.size
     for iteration in range(cfg.newton_max_iters + 1):
-        r1_h, r2_h, r1, r2 = residual(phi, v)
+        r1_h, r2_h, r1, r2 = residual(phi, phi_h, v_h)
         res = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         if res <= cfg.newton_tol:
-            return phi, v, iteration
+            # transform only the increment, so round-off scales with it
+            return phi, v_n + ifft(v_h - vn_h), iteration
         if iteration == cfg.newton_max_iters:
             raise NewtonDivergenceError(
                 f"surface Newton stalled at residual {res:.3e} "
@@ -175,8 +195,8 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             )
 
         fpp = np.asarray(potential.convex_second(phi))
-        rhs_h = -r1_h + (b_sym / c_sym) * r2_h
-        if dense:
+        rhs_h = -r1_h + b_over_c * r2_h
+        if schur is not None:
             dphi = np.linalg.solve(schur - dt_lap * fpp, ifft(rhs_h))
             dphi_h = fft(dphi)
         else:
@@ -184,14 +204,14 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             precond_sym = schur_sym + dt * ksq * cmid
 
             def matvec(x):
-                xh = x.reshape(c1.shape)
+                xh = x.reshape(schur_sym.shape)
                 prod_h = fft(fpp * ifft(xh))
                 if mask is not None:
                     prod_h = mask * prod_h
                 return (schur_sym * xh + dt * ksq * prod_h).ravel()
 
             def apply_prec(x):
-                return (x.reshape(c1.shape) / precond_sym).ravel()
+                return (x.reshape(schur_sym.shape) / precond_sym).ravel()
 
             op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
             prec = LinearOperator((n_flat, n_flat), matvec=apply_prec,
@@ -202,9 +222,9 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
                 raise NewtonDivergenceError(
                     f"GMRES failed to reach tolerance (info={info}, dt={dt:g})"
                 )
-            dphi_h = sol.reshape(c1.shape)
+            dphi_h = sol.reshape(schur_sym.shape)
             dphi = ifft(dphi_h)
-        dv = ifft((-r2_h - b_sym * dphi_h) / c_sym)
+        dv_h = (-r2_h - b_sym * dphi_h) / c_sym
 
         alpha = 1.0
         if singular:
@@ -219,7 +239,8 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
                         f"(iterate pressed against the pure states)"
                     )
         phi = phi + alpha * dphi
-        v = v + alpha * dv
+        phi_h = phi_h + alpha * dphi_h
+        v_h = v_h + alpha * dv_h
 
 
 def _pin_zero_modes(grid, phi, v, phi_n, v_n, q_vals, dt):
@@ -336,10 +357,11 @@ def diagnose(state, params: Params, newton_iters=0, substeps=0,
         u_scalar = state.u
     q = exchange_q(params.exchange, u_on_gamma, eta, state.phi, state.v, state.t)
     combined, phi_mass = masses(state)
+    surface = surface_energy(state.phi, state.v, params)
     return DiagnosticsRecord(
         t=state.t,
-        total_energy=total_energy(state, params),
-        surface_energy=surface_energy(state.phi, state.v, params),
+        total_energy=bulk_energy(state) + surface,  # as model.total_energy
+        surface_energy=surface,
         lyapunov=lyapunov_functional(state.phi, state.v, params),
         combined_mass=combined,
         phi_mass=phi_mass,

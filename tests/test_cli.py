@@ -87,6 +87,31 @@ def test_resume_matches_straight_run(config_file, tmp_path):
     assert a.u == b.u
 
 
+def test_resume_keeps_its_own_checkpoint(config_file, tmp_path):
+    # resuming into the run's own directory names checkpoints by the global
+    # step: the t = 0.01 checkpoint it starts from stays as it was
+    out = tmp_path / "out"
+    assert main(["run-reduced", "--config", str(config_file),
+                 "--out", str(out)]) == 0
+    start = out / "checkpoint_00000010.snap"
+    before = start.read_bytes()
+    longer = ["--override", "schedule.t_final=0.04"]
+    assert main(["run-reduced", "--config", str(config_file),
+                 "--out", str(out), "--resume", str(start)] + longer) == 0
+    assert start.read_bytes() == before
+    straight = tmp_path / "straight"
+    assert main(["run-reduced", "--config", str(config_file),
+                 "--out", str(straight)] + longer) == 0
+    names = sorted(p.name for p in straight.glob("checkpoint_*"))
+    assert names == [f"checkpoint_000000{i}0.snap" for i in (1, 2, 3, 4)]
+    assert sorted(p.name for p in out.glob("checkpoint_*")) == names
+    for name in names:
+        a, _ = h.read_snapshot(straight / name)
+        b, _ = h.read_snapshot(out / name)
+        assert a.t == b.t
+        assert np.array_equal(a.phi.values, b.phi.values)
+
+
 def test_resume_refuses_other_physics(config_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run-reduced", "--config", str(config_file),

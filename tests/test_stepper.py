@@ -1,9 +1,12 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import raftsim as rs
+import raftsim.model as model_mod
 import raftsim.stepper as stepper_mod
 from conftest import full_state, lowpass_field, reduced_state
 
@@ -151,27 +154,40 @@ def test_temporal_first_order():
     assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.25)
 
 
+def _dense_multiplier(grid, symbol):
+    """Physical-space matrix of the Fourier multiplier `symbol` (rfft
+    layout) on any grid, acting on fields flattened in C order."""
+    n = grid.node_count
+    basis = np.eye(n).reshape((n,) + grid.shape)
+    return grid.ifft(symbol * grid.fft(basis)).reshape(n, n).T
+
+
 def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
                             cfg):
     """Damped Newton on the full 2n x 2n block Jacobian in physical space
-    (dense circle Laplacian, no Schur elimination), as (phi, v, iters)."""
+    (dense Laplacian, the 2/3 mask as a dense projector when dealiasing, no
+    Schur elimination), as (phi, v, iters)."""
     n = grid.node_count
-    lap = grid.laplacian_matrix()
+    lap = _dense_multiplier(grid, grid.lap_symbol)
     eye = np.eye(n)
+    proj = _dense_multiplier(grid, grid.dealias) if cfg.dealias else eye
     theta0 = potential.split_coefficient
     j11 = eye + dt * (lap @ lap) - (dt / delta) * lap
     j12 = (2.0 * dt / delta) * lap
     j22 = eye - (4.0 * dt / delta) * lap
+    phi_n, v_n, q_vals = phi_n.ravel(), v_n.ravel(), q_vals.ravel()
     phi, v = phi_n.copy(), v_n.copy()
     for iteration in range(cfg.newton_max_iters + 1):
         eta = (2.0 / delta) * (2.0 * v - 1.0 - phi)
-        mu = -lap @ phi + potential.convex_deriv(phi) - theta0 * phi_n - 0.5 * eta
+        mu = (-lap @ phi + proj @ potential.convex_deriv(phi)
+              - theta0 * phi_n - 0.5 * eta)
         r1 = phi - phi_n - dt * (lap @ mu)
-        r2 = v - v_n - dt * (lap @ eta) - dt * q_vals
+        r2 = v - v_n - dt * (lap @ eta) - dt * (proj @ q_vals)
         if max(np.max(np.abs(r1)), np.max(np.abs(r2))) <= cfg.newton_tol:
-            return phi, v, iteration
-        jac = np.block([[j11 - dt * lap * potential.convex_second(phi), j12],
-                        [j12, j22]])
+            return phi.reshape(grid.shape), v.reshape(grid.shape), iteration
+        jac = np.block([
+            [j11 - dt * (lap @ proj) * potential.convex_second(phi), j12],
+            [j12, j22]])
         step = np.linalg.solve(jac, -np.concatenate([r1, r2]))
         alpha = 1.0
         limit = max(1.0 - stepper_mod.SEPARATION_MARGIN, np.max(np.abs(phi)))
@@ -207,11 +223,20 @@ def _full_disk_case():
     return st, params, rs.StepperConfig(dt=2e-3), q
 
 
-@pytest.mark.parametrize("case", [_kappa_circle_case, _full_disk_case])
-def test_dense_schur_newton_matches_block_reference(case):
-    st, params, cfg, q = case()
-    # newton_tol 1e-3 stops both solves after one step, which compares the
-    # Newton direction itself rather than only the root
+def _krylov_case(grid, dealias):
+    # v reaches the highest modes, so the mask acts on q as well as on F'
+    st = reduced_state(grid, seed=4, amplitude=0.6, cutoff=4)
+    st.v.values += lowpass_field(grid, 5, 0.2, cutoff=grid.shape[-1]).values
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=3.0),
+                       exchange=rs.ReactionExchange(b1=0.5, b2=0.5))
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    return st, params, rs.StepperConfig(dt=1e-2, dealias=dealias), q
+
+
+def _assert_matches_block_reference(st, params, cfg, q):
+    # newton_tol 1e-3 stops both solves after one or two steps, which
+    # compares the Newton directions themselves rather than only the root
     for solve_cfg in (cfg, replace(cfg, newton_tol=1e-3)):
         args = (st.phi.grid, params.potential, params.delta, cfg.dt,
                 st.phi.values, st.v.values, q.values, solve_cfg)
@@ -220,6 +245,94 @@ def test_dense_schur_newton_matches_block_reference(case):
         assert iters == iters_ref
         assert np.max(np.abs(phi - phi_ref)) <= 1e-12
         assert np.max(np.abs(v - v_ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("case", [_kappa_circle_case, _full_disk_case])
+def test_dense_schur_newton_matches_block_reference(case):
+    _assert_matches_block_reference(*case())
+
+
+@pytest.mark.parametrize("grid, dealias", [
+    (rs.SurfaceGrid.torus(16, 16), False),
+    (rs.SurfaceGrid.torus(16, 16), True),
+    (rs.SurfaceGrid.circle(48), True),
+])
+def test_krylov_schur_newton_matches_block_reference(grid, dealias):
+    _assert_matches_block_reference(*_krylov_case(grid, dealias))
+
+
+def test_step_operator_cache_shared_by_threads():
+    # 8 threads (more than cores) race to build and read the operators of
+    # three step sizes from an empty cache; every solve must equal the
+    # sequential one bit for bit
+    st = reduced_state(CIRCLE, seed=15, amplitude=0.5)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.ReactionExchange())
+    cfg = rs.StepperConfig(dt=4e-3)
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    dts = (cfg.dt, cfg.dt / 2, cfg.dt / 4)
+
+    def solve(dt):
+        return stepper_mod._solve_surface(CIRCLE, params.potential,
+                                          params.delta, dt, st.phi.values,
+                                          st.v.values, q.values, cfg)
+
+    expected = [solve(dt) for dt in dts]
+    cache = stepper_mod._step_operators
+    cache.cache_clear()
+    results = [None] * 8
+
+    def worker(k):
+        results[k] = [solve(dts[(k + j) % 3]) for j in range(6)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k, got in enumerate(results):
+        for j, (phi, v, iters) in enumerate(got):
+            phi_ref, v_ref, iters_ref = expected[(k + j) % 3]
+            assert iters == iters_ref
+            assert np.array_equal(phi, phi_ref)
+            assert np.array_equal(v, v_ref)
+
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize == len(dts)
+    for dt in dts:
+        ops = cache(CIRCLE, params.delta, dt, False)
+        arrays = [a for a in ops if a is not None]
+        assert len(arrays) == len(ops)           # the dense path's too
+        assert not any(a.flags.writeable for a in arrays)
+
+
+def test_diagnose_evaluates_surface_energy_once(monkeypatch):
+    disk_state = full_state(rs.DiskGrid(24, 64), seed=5, amplitude=0.3)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.EquilibriumExchange(a0=1.0))
+    for st in (reduced_state(CIRCLE, seed=3, amplitude=0.3), disk_state):
+        rec = rs.diagnose(st, params)
+        assert rec.total_energy == rs.total_energy(st, params)
+        assert rec.surface_energy == rs.surface_energy(st.phi, st.v, params)
+
+    original = model_mod.surface_energy
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(stepper_mod, "surface_energy", counted)
+    monkeypatch.setattr(model_mod, "surface_energy", counted)
+    rs.diagnose(disk_state, params)
+    assert len(calls) == 1
 
 
 def test_dt_halving_retry(monkeypatch):
