@@ -22,7 +22,6 @@ from .model import (
     exchange_q,
     lyapunov_functional,
     masses,
-    reduced_q_of_v,
     reduced_u_from_mass,
     separation_margin,
     surface_energy,
@@ -58,12 +57,6 @@ from .surface import (
     MeanFreeError,
     SurfaceField,
     SurfaceGrid,
-    h1_seminorm_sq,
-    hminus1_norm,
-    inv_laplace_beltrami,
-    l2_norm,
-    laplace_beltrami,
-    mean,
     surface_integral,
 )
 

@@ -5,6 +5,10 @@ assignments, ``#`` comments.  Parsing collects *all* problems (unknown keys,
 type mismatches, violated invariants) with their line numbers before raising,
 and ``serialize_config(parse_config(text))`` reparses to an equal config.
 
+One table, ``_SCHEMA``, names every section and key with its type; parsing,
+the single-key checks, the kind tables and serialization all walk it.  A
+key left out takes the default of the dataclass its section builds.
+
 Sections and keys are documented in the project README; every simulation and
 experiment is fully determined by one such document (seeds are mandatory for
 random initial data).
@@ -13,7 +17,7 @@ random initial data).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,15 +81,15 @@ class ExperimentConfig:
     t_star: float | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
     system: str                    # full | reduced
     geometry: GeometryConfig
     potential: DoubleWell
     exchange: object
-    D: float
-    delta: float
-    omega_measure: float
+    D: float = 1.0
+    delta: float = 1.0
+    omega_measure: float = math.pi
     stepper: StepperConfig
     initial: InitialConfig
     schedule: Schedule
@@ -188,6 +192,98 @@ _SCHEMA = {
     "output": {"directory": str},
 }
 
+# Keys without which a section builds nothing.
+_REQUIRED = (("run", "system"), ("geometry", "kind"), ("exchange", "kind"),
+             ("stepper", "dt"), ("initial", "kind"), ("schedule", "t_final"))
+
+_LAWS = {"equilibrium": EquilibriumExchange, "reaction": ReactionExchange,
+         "cutoff_reaction": CutoffReactionExchange}
+_LAW_KINDS = {law: kind for kind, law in _LAWS.items()}
+
+# The object each section builds, whose dataclass defaults are the config
+# defaults, and the prefix of its constructor's errors.  [run], [params] and
+# [output] set RunConfig fields, renamed where the key differs.
+_BUILDERS = {
+    "geometry": (GeometryConfig, "invalid geometry"),
+    "potential": (DoubleWell, "invalid potential"),
+    "exchange": (lambda kind, **rates: _LAWS[kind](**rates),
+                 "invalid exchange law"),
+    "stepper": (StepperConfig, "invalid stepper config"),
+    "initial": (InitialConfig, "invalid initial data"),
+    "schedule": (Schedule, "invalid schedule"),
+    "experiment": (ExperimentConfig, "invalid experiment"),
+}
+_RUN_FIELDS = {"diffusion": "D", "directory": "output_dir"}
+
+# Per kind: the keys it needs, and the keys besides `kind` that its object is
+# built from and serialized with (None: every key of the section).
+_WELL = ("theta", "theta0", "r0")
+_KINDS = {
+    "geometry": ("geometry", {
+        "circle": (("n",), ("n",)),
+        "torus": (("nx", "ny"), ("nx", "ny", "lx", "ly")),
+        "disk": (("nr", "ntheta"), ("nr", "ntheta")),
+    }),
+    "potential": ("potential", {
+        None: ((), _WELL),                  # kind omitted: DoubleWell's default
+        LOGARITHMIC: ((), _WELL),
+        POLYNOMIAL: ((), _WELL),
+        REGULARIZED: (("kappa",), _WELL + ("kappa",)),
+    }),
+    "exchange": ("exchange", {kind: ((), tuple(f.name for f in fields(law)))
+                              for kind, law in _LAWS.items()}),
+    "initial": ("initial data", {
+        "constant": ((), None), "random": ((), None), "file": (("path",), None),
+    }),
+}
+
+
+def _one_of(choices):
+    return lambda value: value in choices
+
+
+def _positive(value):
+    return value > 0.0
+
+
+# Single-key checks, each reported at its key's line; `{!r}` is the value.
+_CHECKS = (
+    ("run", "system", _one_of(("full", "reduced")),
+     "run.system must be full or reduced, got {!r}"),
+    ("geometry", "kind", _one_of(_KINDS["geometry"][1]),
+     "geometry.kind must be circle, torus or disk, got {!r}"),
+    *(("geometry", key, lambda n: n >= 8 and n % 2 == 0,
+       f"geometry.{key} must be even and >= 8")
+      for key in ("n", "nx", "ny", "ntheta")),
+    ("geometry", "nr", lambda nr: nr >= 4, "geometry.nr must be >= 4"),
+    ("geometry", "lx", _positive, "geometry.lx must be positive"),
+    ("geometry", "ly", _positive, "geometry.ly must be positive"),
+    ("potential", "kind", _one_of(_KINDS["potential"][1]),
+     "unknown potential kind {!r}"),
+    ("exchange", "kind", _one_of(_LAWS), "exchange.kind must be equilibrium, "
+     "reaction or cutoff_reaction, got {!r}"),
+    ("stepper", "newton_max_iters", lambda iters: iters >= 0,
+     "stepper.newton_max_iters must be >= 0"),
+    ("params", "diffusion", _positive,
+     "diffusion coefficient must be positive"),
+    ("params", "delta", _positive, "delta must be positive (affinity strength)"),
+    ("params", "omega_measure", _positive, "omega_measure must be positive"),
+    ("initial", "kind", _one_of(_KINDS["initial"][1]),
+     "initial.kind must be constant, random or file"),
+    ("initial", "cutoff", lambda cutoff: cutoff >= 1,
+     "initial.cutoff must be >= 1"),
+    ("initial", "seed", lambda seed: seed >= 0, "initial.seed must be >= 0"),
+    ("experiment", "kind",
+     _one_of(("large_d", "kappa", "equilibrium_convergence", "absorbing")),
+     "unknown experiment kind {!r}"),
+)
+
+
+def _carried(section, kind):
+    """Keys that a section's object is built from and serialized with."""
+    carried = _KINDS[section][1][kind][1] if section in _KINDS else None
+    return _SCHEMA[section] if carried is None else ("kind",) + carried
+
 
 def _tokenize(text, errors):
     sections = {}
@@ -227,45 +323,39 @@ def _convert(raw, typ):
             return False
         raise ValueError(f"expected a boolean, got {raw!r}")
     if typ is int:
-        value = int(raw)
-        return value
-    if typ is float:
-        return float(raw)
+        return int(raw)
     if typ == "floats":
-        items = [part.strip() for part in raw.split(",") if part.strip()]
-        return tuple(float(part) for part in items)
-    raise AssertionError(typ)
+        return tuple(_convert(part, float) for part in raw.split(",")
+                     if part.strip())
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
-class _Extractor:
-    """Typed access to tokenized sections, accumulating errors."""
-
-    def __init__(self, sections, errors):
-        self.sections = sections
-        self.errors = errors
-        for name, content in sections.items():
-            for key, (_, line) in content.items():
-                if key not in _SCHEMA[name]:
-                    errors.append((line, f"unknown key {key!r} in [{name}]"))
-
-    def get(self, section, key, default=None, required=False):
-        entry = self.sections.get(section, {}).get(key)
-        if entry is None:
-            if required:
-                self.errors.append(
-                    (None, f"missing required key {key!r} in [{section}]"))
-            return default
-        raw, line = entry
-        try:
-            return _convert(raw, _SCHEMA[section][key])
-        except (ValueError, KeyError):
-            self.errors.append(
-                (line, f"bad value for {section}.{key}: {raw!r}"))
-            return default
-
-    def line_of(self, section, key):
-        entry = self.sections.get(section, {}).get(key)
-        return entry[1] if entry else None
+def _build(section, given, errors):
+    """The object a section builds from its converted values; None when a
+    required key, the kind or the constructor fails."""
+    if any(key not in given for name, key in _REQUIRED if name == section):
+        return None
+    builder, prefix = _BUILDERS[section]
+    if section in _KINDS:
+        noun, kinds = _KINDS[section]
+        kind = given.get("kind")
+        if kind not in kinds:
+            return None
+        needs = kinds[kind][0]
+        if any(key not in given for key in needs):
+            errors.append((None, f"{kind} {noun} needs " + " and ".join(
+                f"{section}.{key}" for key in needs)))
+            return None
+        carried = _carried(section, kind)
+        given = {key: value for key, value in given.items() if key in carried}
+    try:
+        return builder(**given)
+    except ValueError as exc:
+        errors.append((None, f"{prefix}: {exc}"))
+        return None
 
 
 def parse_config(text: str, overrides=()) -> RunConfig:
@@ -284,222 +374,63 @@ def parse_config(text: str, overrides=()) -> RunConfig:
             errors.append((None, f"override targets unknown key {dotted!r}"))
             continue
         sections.setdefault(section, {})[key] = (str(value), None)
-    ex = _Extractor(sections, errors)
 
-    system = ex.get("run", "system", required=True)
-    if system is not None and system not in ("full", "reduced"):
-        errors.append((ex.line_of("run", "system"),
-                       f"run.system must be full or reduced, got {system!r}"))
+    def line_of(section, key):
+        return sections.get(section, {}).get(key, (None, None))[1]
 
-    geometry = _parse_geometry(ex, system, errors)
-    potential = _parse_potential(ex, errors)
-    exchange = _parse_exchange(ex, errors)
+    values = {section: {} for section in _SCHEMA}
+    for section, entries in sections.items():
+        for key, (raw, line) in entries.items():
+            if key not in _SCHEMA[section]:
+                errors.append((line, f"unknown key {key!r} in [{section}]"))
+                continue
+            try:
+                values[section][key] = _convert(raw, _SCHEMA[section][key])
+            except ValueError:
+                errors.append((line, f"bad value for {section}.{key}: {raw!r}"))
+    for section, key in _REQUIRED:
+        if key not in sections.get(section, {}):
+            errors.append((None, f"missing required key {key!r} in [{section}]"))
+    for section, key, test, message in _CHECKS:
+        value = values[section].get(key)
+        if value is not None and not test(value):
+            errors.append((line_of(section, key), message.format(value)))
+    built = {section: _build(section, values[section], errors)
+             for section in _BUILDERS}
 
-    D = ex.get("params", "diffusion", default=1.0)
-    delta = ex.get("params", "delta", default=1.0)
-    omega = ex.get("params", "omega_measure", default=math.pi)
-    if D is not None and D <= 0.0:
-        errors.append((ex.line_of("params", "diffusion"),
-                       "diffusion coefficient must be positive"))
-    if delta is not None and delta <= 0.0:
-        errors.append((ex.line_of("params", "delta"),
-                       "delta must be positive (affinity strength)"))
-    if omega is not None and omega <= 0.0:
-        errors.append((ex.line_of("params", "omega_measure"),
-                       "omega_measure must be positive"))
-
-    stepper = _parse_stepper(ex, errors)
-    initial = _parse_initial(ex, system, errors)
-    schedule = _parse_schedule(ex, stepper, errors)
-    experiment = _parse_experiment(ex, errors)
-    output_dir = ex.get("output", "directory")
-
-    if errors:
-        raise ConfigError(errors)
-    return RunConfig(system=system, geometry=geometry, potential=potential,
-                     exchange=exchange, D=D, delta=delta, omega_measure=omega,
-                     stepper=stepper, initial=initial, schedule=schedule,
-                     experiment=experiment, output_dir=output_dir)
-
-
-def _parse_geometry(ex, system, errors):
-    kind = ex.get("geometry", "kind", required=True)
-    if kind is None:
-        return None
-    if kind not in ("circle", "torus", "disk"):
-        errors.append((ex.line_of("geometry", "kind"),
-                       f"geometry.kind must be circle, torus or disk, got {kind!r}"))
-        return None
-    n = ex.get("geometry", "n")
-    nx = ex.get("geometry", "nx")
-    ny = ex.get("geometry", "ny")
-    lx = ex.get("geometry", "lx", default=2.0 * math.pi)
-    ly = ex.get("geometry", "ly", default=2.0 * math.pi)
-    nr = ex.get("geometry", "nr")
-    ntheta = ex.get("geometry", "ntheta")
-    if kind == "circle" and n is None:
-        errors.append((None, "circle geometry needs geometry.n"))
-    if kind == "torus" and (nx is None or ny is None):
-        errors.append((None, "torus geometry needs geometry.nx and geometry.ny"))
-    if kind == "disk" and (nr is None or ntheta is None):
-        errors.append((None, "disk geometry needs geometry.nr and geometry.ntheta"))
-    if system == "full" and kind != "disk":
-        errors.append((ex.line_of("geometry", "kind"),
-                       "the full system needs disk geometry (bulk + boundary circle)"))
-    if system == "reduced" and kind == "disk":
-        errors.append((ex.line_of("geometry", "kind"),
+    # rules across keys
+    system = values["run"].get("system")
+    geometry = values["geometry"].get("kind")
+    if system == "full" and geometry in ("circle", "torus"):
+        errors.append((line_of("geometry", "kind"), "the full system needs "
+                       "disk geometry (bulk + boundary circle)"))
+    if system == "reduced" and geometry == "disk":
+        errors.append((line_of("geometry", "kind"),
                        "the reduced system lives on a circle or torus"))
-    for label, value in (("n", n), ("nx", nx), ("ny", ny), ("ntheta", ntheta)):
-        if value is not None and (value < 8 or value % 2 != 0):
-            errors.append((ex.line_of("geometry", label),
-                           f"geometry.{label} must be even and >= 8"))
-    return GeometryConfig(kind=kind, n=n, nx=nx, ny=ny, lx=lx, ly=ly,
-                          nr=nr, ntheta=ntheta)
-
-
-def _parse_potential(ex, errors):
-    kind = ex.get("potential", "kind", default=LOGARITHMIC)
-    if kind not in (LOGARITHMIC, POLYNOMIAL, REGULARIZED):
-        errors.append((ex.line_of("potential", "kind"),
-                       f"unknown potential kind {kind!r}"))
-        return None
-    kwargs = dict(
-        kind=kind,
-        theta=ex.get("potential", "theta", default=1.0),
-        theta0=ex.get("potential", "theta0", default=2.0),
-        r0=ex.get("potential", "r0", default=0.5),
-    )
-    kappa = ex.get("potential", "kappa")
-    if kind == REGULARIZED:
-        if kappa is None:
-            errors.append((None, "regularized potential needs potential.kappa"))
-            return None
-        kwargs["kappa"] = kappa
-    try:
-        return DoubleWell(**kwargs)
-    except ValueError as exc:
-        errors.append((None, f"invalid potential: {exc}"))
-        return None
-
-
-def _parse_exchange(ex, errors):
-    kind = ex.get("exchange", "kind", required=True)
-    if kind is None:
-        return None
-    try:
-        if kind == "equilibrium":
-            return EquilibriumExchange(
-                a0=ex.get("exchange", "a0", default=1.0),
-                alpha=ex.get("exchange", "alpha", default=0.0))
-        if kind == "reaction":
-            return ReactionExchange(
-                b1=ex.get("exchange", "b1", default=1.0),
-                b2=ex.get("exchange", "b2", default=1.0))
-        if kind == "cutoff_reaction":
-            return CutoffReactionExchange(
-                b1=ex.get("exchange", "b1", default=1.0),
-                b2=ex.get("exchange", "b2", default=1.0),
-                h0=ex.get("exchange", "h0", default=1.0))
-    except ValueError as exc:
-        errors.append((None, f"invalid exchange law: {exc}"))
-        return None
-    errors.append((ex.line_of("exchange", "kind"),
-                   f"exchange.kind must be equilibrium, reaction or "
-                   f"cutoff_reaction, got {kind!r}"))
-    return None
-
-
-def _parse_stepper(ex, errors):
-    dt = ex.get("stepper", "dt", required=True)
-    if dt is None:
-        return None
-    kwargs = dict(
-        dt=dt,
-        newton_tol=ex.get("stepper", "newton_tol", default=1e-10),
-        newton_max_iters=ex.get("stepper", "newton_max_iters", default=50),
-        damping=ex.get("stepper", "damping", default=0.5),
-        dealias=ex.get("stepper", "dealias", default=False),
-        gmres_tol=ex.get("stepper", "gmres_tol", default=1e-12),
-        kappa_fallback=ex.get("stepper", "kappa_fallback", default=1e-5),
-    )
-    dt_min = ex.get("stepper", "dt_min")
-    if dt_min is not None:
-        kwargs["dt_min"] = dt_min
-    try:
-        return StepperConfig(**kwargs)
-    except ValueError as exc:
-        errors.append((None, f"invalid stepper config: {exc}"))
-        return None
-
-
-def _parse_initial(ex, system, errors):
-    kind = ex.get("initial", "kind", required=True)
-    if kind is None:
-        return None
-    if kind not in ("constant", "random", "file"):
-        errors.append((ex.line_of("initial", "kind"),
-                       f"initial.kind must be constant, random or file"))
-        return None
-    init = InitialConfig(
-        kind=kind,
-        phi_mean=ex.get("initial", "phi_mean", default=0.0),
-        amplitude=ex.get("initial", "amplitude", default=0.1),
-        v_amplitude=ex.get("initial", "v_amplitude", default=0.0),
-        cutoff=ex.get("initial", "cutoff", default=8),
-        seed=ex.get("initial", "seed"),
-        v0=ex.get("initial", "v0", default=0.5),
-        u0=ex.get("initial", "u0", default=0.0),
-        path=ex.get("initial", "path"),
-    )
-    if kind == "random":
+    init = built["initial"]
+    if init is not None and init.kind == "random":
         if init.seed is None:
             errors.append((None, "random initial data needs initial.seed "
                                  "(reproducibility)"))
         if abs(init.phi_mean) + init.amplitude >= 1.0:
             errors.append((None, "initial |phi_mean| + amplitude must be < 1"))
-    if kind == "constant" and abs(init.phi_mean) > 1.0:
+    if init is not None and init.kind == "constant" and abs(init.phi_mean) > 1:
         errors.append((None, "initial phi_mean must lie in [-1, 1]"))
-    if kind == "file" and init.path is None:
-        errors.append((None, "file initial data needs initial.path"))
-    return init
-
-
-def _parse_schedule(ex, stepper, errors):
-    t_final = ex.get("schedule", "t_final", required=True)
-    if t_final is None:
-        return None
-    kwargs = dict(
-        t_final=t_final,
-        sample_stride=ex.get("schedule", "sample_stride", default=1),
-        checkpoint_stride=ex.get("schedule", "checkpoint_stride", default=0),
-    )
-    try:
-        schedule = Schedule(**kwargs)
-    except ValueError as exc:
-        errors.append((None, f"invalid schedule: {exc}"))
-        return None
-    if stepper is not None:
-        n = round(t_final / stepper.dt)
-        if abs(n * stepper.dt - t_final) > 1e-9 * max(1.0, t_final):
-            errors.append((ex.line_of("schedule", "t_final"),
+    stepper, schedule = built["stepper"], built["schedule"]
+    if stepper is not None and schedule is not None:
+        t_final = schedule.t_final
+        steps = t_final / stepper.dt
+        if not (math.isfinite(steps) and abs(round(steps) * stepper.dt - t_final)
+                <= 1e-9 * max(1.0, t_final)):
+            errors.append((line_of("schedule", "t_final"),
                            "t_final must be an integer multiple of stepper.dt"))
-    return schedule
 
-
-def _parse_experiment(ex, errors):
-    kind = ex.get("experiment", "kind")
-    cfg = ExperimentConfig(
-        kind=kind,
-        d_list=ex.get("experiment", "d_list", default=()),
-        kappa_list=ex.get("experiment", "kappa_list", default=()),
-        scales=ex.get("experiment", "scales", default=()),
-        t_star=ex.get("experiment", "t_star"),
-    )
-    known = (None, "large_d", "kappa", "equilibrium_convergence", "absorbing")
-    if kind not in known:
-        errors.append((ex.line_of("experiment", "kind"),
-                       f"unknown experiment kind {kind!r}"))
-    return cfg
+    if errors:
+        raise ConfigError(errors)
+    run_fields = {_RUN_FIELDS.get(key, key): value
+                  for section in ("run", "params", "output")
+                  for key, value in values[section].items()}
+    return RunConfig(**built, **run_fields)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -515,70 +446,22 @@ def _fmt(value):
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
+    """Canonical text form; parse_config(serialize_config(c)) == c.
+
+    Walks the schema in order and writes each section's kind keys, skipping
+    unset (None) and empty values and sections left empty."""
     out = []
-
-    def section(name, pairs):
-        pairs = [(k, v) for k, v in pairs if v is not None]
-        if not pairs:
-            return
-        out.append(f"[{name}]")
-        out.extend(f"{k} = {_fmt(v)}" for k, v in pairs)
-        out.append("")
-
-    section("run", [("system", cfg.system)])
-    g = cfg.geometry
-    geo = [("kind", g.kind)]
-    if g.kind == "circle":
-        geo.append(("n", g.n))
-    elif g.kind == "torus":
-        geo += [("nx", g.nx), ("ny", g.ny), ("lx", g.lx), ("ly", g.ly)]
-    else:
-        geo += [("nr", g.nr), ("ntheta", g.ntheta)]
-    section("geometry", geo)
-
-    pot = cfg.potential
-    pot_pairs = [("kind", pot.kind), ("theta", pot.theta),
-                 ("theta0", pot.theta0), ("r0", pot.r0)]
-    if pot.kind == REGULARIZED:
-        pot_pairs.append(("kappa", pot.kappa))
-    section("potential", pot_pairs)
-
-    law = cfg.exchange
-    if isinstance(law, EquilibriumExchange):
-        section("exchange", [("kind", "equilibrium"), ("a0", law.a0),
-                             ("alpha", law.alpha)])
-    elif isinstance(law, CutoffReactionExchange):
-        section("exchange", [("kind", "cutoff_reaction"), ("b1", law.b1),
-                             ("b2", law.b2), ("h0", law.h0)])
-    else:
-        section("exchange", [("kind", "reaction"), ("b1", law.b1),
-                             ("b2", law.b2)])
-
-    section("params", [("diffusion", cfg.D), ("delta", cfg.delta),
-                       ("omega_measure", cfg.omega_measure)])
-    st = cfg.stepper
-    section("stepper", [("dt", st.dt), ("newton_tol", st.newton_tol),
-                        ("newton_max_iters", st.newton_max_iters),
-                        ("dt_min", st.dt_min), ("damping", st.damping),
-                        ("dealias", st.dealias), ("gmres_tol", st.gmres_tol),
-                        ("kappa_fallback", st.kappa_fallback)])
-    init = cfg.initial
-    section("initial", [("kind", init.kind), ("phi_mean", init.phi_mean),
-                        ("amplitude", init.amplitude),
-                        ("v_amplitude", init.v_amplitude),
-                        ("cutoff", init.cutoff), ("seed", init.seed),
-                        ("v0", init.v0), ("u0", init.u0),
-                        ("path", init.path)])
-    sch = cfg.schedule
-    section("schedule", [("t_final", sch.t_final),
-                         ("sample_stride", sch.sample_stride),
-                         ("checkpoint_stride", sch.checkpoint_stride)])
-    exp = cfg.experiment
-    section("experiment", [("kind", exp.kind),
-                           ("d_list", exp.d_list or None),
-                           ("kappa_list", exp.kappa_list or None),
-                           ("scales", exp.scales or None),
-                           ("t_star", exp.t_star)])
-    section("output", [("directory", cfg.output_dir)])
+    for section, keys in _SCHEMA.items():
+        obj = getattr(cfg, section) if section in _BUILDERS else cfg
+        found = {key: getattr(obj, _RUN_FIELDS.get(key, key), None)
+                 for key in keys}
+        if section == "exchange":
+            found["kind"] = _LAW_KINDS[type(obj)]
+        carried = _carried(section, found.get("kind"))
+        pairs = [(key, value) for key, value in found.items()
+                 if key in carried and value is not None and value != ()]
+        if pairs:
+            out.append(f"[{section}]")
+            out.extend(f"{key} = {_fmt(value)}" for key, value in pairs)
+            out.append("")
     return "\n".join(out)

@@ -223,24 +223,6 @@ def reduced_u_from_mass(total_mass: float, v: SurfaceField,
     return (total_mass - surface_integral(v)) / omega_measure
 
 
-def reduced_q_of_v(law, total_mass: float, v: SurfaceField,
-                   omega_measure: float = math.pi) -> SurfaceField:
-    """Nonlocal reaction rate of the reduced model.
-
-    For the plain reaction law this is
-    q(v) = (b1/|Omega|) (M - integral(v)) (1 - v) - b2 v; the cutoff variant
-    replaces the u*v product by cutoff(u)*v.
-    """
-    u = reduced_u_from_mass(total_mass, v, omega_measure)
-    if isinstance(law, ReactionExchange):
-        q = law.b1 * u * (1.0 - v.values) - law.b2 * v.values
-    elif isinstance(law, CutoffReactionExchange):
-        q = law.b1 * u - law.b1 * law.cutoff(u) * v.values - law.b2 * v.values
-    else:
-        raise TypeError("reduced reaction rate needs a reaction-type law")
-    return SurfaceField(v.grid, q)
-
-
 # -- energies and masses -------------------------------------------------------
 
 def affinity_deviation(phi: SurfaceField, v: SurfaceField) -> np.ndarray:

@@ -240,31 +240,7 @@ class SurfaceField:
         return SurfaceField(self.grid, self.values.copy())
 
 
-# -- field-level operations (thin wrappers over grid methods) ---------------
-
-def laplace_beltrami(f: SurfaceField) -> SurfaceField:
-    return SurfaceField(f.grid, f.grid.laplacian(f.values))
-
-
-def inv_laplace_beltrami(f: SurfaceField) -> SurfaceField:
-    return SurfaceField(f.grid, f.grid.inverse_laplacian(f.values))
-
+# -- field-level operations ---------------------------------------------------
 
 def surface_integral(f: SurfaceField) -> float:
     return f.grid.integral(f.values)
-
-
-def mean(f: SurfaceField) -> float:
-    return f.grid.mean(f.values)
-
-
-def l2_norm(f: SurfaceField) -> float:
-    return f.grid.l2_norm(f.values)
-
-
-def h1_seminorm_sq(f: SurfaceField) -> float:
-    return f.grid.h1_seminorm_sq(f.values)
-
-
-def hminus1_norm(f: SurfaceField) -> float:
-    return f.grid.hminus1_norm(f.values)

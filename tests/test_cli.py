@@ -61,6 +61,50 @@ def test_config_error_exit_code(config_file, tmp_path, capsys):
     assert "delta" in capsys.readouterr().err
 
 
+TORUS = "[geometry]\nkind = torus\nnx = 16\nny = 16\n"
+
+
+@pytest.mark.parametrize("extra, message", [
+    # non-finite numbers
+    ("[schedule]\nt_final = nan", "bad value for schedule.t_final: 'nan'"),
+    ("[schedule]\nt_final = inf", "bad value for schedule.t_final: 'inf'"),
+    ("[stepper]\ndt = inf", "bad value for stepper.dt: 'inf'"),
+    ("[stepper]\nkappa_fallback = nan",
+     "bad value for stepper.kappa_fallback: 'nan'"),
+    ("[params]\ndelta = nan", "bad value for params.delta: 'nan'"),
+    ("[params]\ndiffusion = nan", "bad value for params.diffusion: 'nan'"),
+    ("[params]\nomega_measure = inf",
+     "bad value for params.omega_measure: 'inf'"),
+    ("[initial]\nphi_mean = nan", "bad value for initial.phi_mean: 'nan'"),
+    ("[initial]\namplitude = nan", "bad value for initial.amplitude: 'nan'"),
+    ("[initial]\nu0 = inf", "bad value for initial.u0: 'inf'"),
+    ("[initial]\nv0 = nan", "bad value for initial.v0: 'nan'"),
+    ("[exchange]\nb1 = nan", "bad value for exchange.b1: 'nan'"),
+    ("[experiment]\nd_list = 10, nan",
+     "bad value for experiment.d_list: '10, nan'"),
+    ("[stepper]\nnewton_max_iters = -1",
+     "stepper.newton_max_iters must be >= 0"),
+    # geometry sizes
+    ("[geometry]\nnr = 2", "geometry.nr must be >= 4"),
+    (TORUS + "lx = 0", "geometry.lx must be positive"),
+    (TORUS + "ly = -2", "geometry.ly must be positive"),
+    (TORUS + "ly = nan", "bad value for geometry.ly: 'nan'"),
+    # random initial data
+    ("[initial]\nseed = -1", "initial.seed must be >= 0"),
+    ("[initial]\ncutoff = 0", "initial.cutoff must be >= 1"),
+])
+def test_rejects_values_that_cannot_run(tmp_path, capsys, extra, message):
+    # each value once ended in a traceback or ran a meaningless simulation
+    text = REDUCED + extra + "\n"
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    code = main(["run-reduced", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    line = len(text.splitlines())  # the offending key is the last line
+    assert f"line {line}: {message}" in capsys.readouterr().err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     code = main(["run-reduced", "--config", str(tmp_path / "nope.ini")])
     assert code == 2

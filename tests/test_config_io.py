@@ -1,8 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raftsim as rs
 import raftsim.harness as h
+from raftsim.harness import config
 
 MINIMAL_REDUCED = """
 [run]
@@ -39,9 +45,114 @@ def test_parse_minimal_fills_defaults():
     assert cfg.initial.v0 == 0.5
 
 
-def test_serialize_roundtrip():
-    cfg = h.parse_config(MINIMAL_REDUCED)
-    assert h.parse_config(h.serialize_config(cfg)) == cfg
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def config_documents(draw):
+    """Valid documents over every kind of the config tables, with the
+    optional keys of each section present or left to their defaults."""
+    sections = {}
+
+    def put(section, key, value, optional=True):
+        if not optional or draw(st.booleans()):
+            sections.setdefault(section, []).append(f"{key} = {value}")
+
+    geometry = draw(st.sampled_from(sorted(config._KINDS["geometry"][1])))
+    put("run", "system", "full" if geometry == "disk" else "reduced", False)
+    put("geometry", "kind", geometry, False)
+    even = st.integers(4, 64).map(lambda k: 2 * k)
+    if geometry == "circle":
+        put("geometry", "n", draw(even), False)
+    elif geometry == "torus":
+        put("geometry", "nx", draw(even), False)
+        put("geometry", "ny", draw(even), False)
+        put("geometry", "lx", draw(_floats(0.1, 100)))
+        put("geometry", "ly", draw(_floats(0.1, 100)))
+    else:
+        put("geometry", "nr", draw(st.integers(4, 64)), False)
+        put("geometry", "ntheta", draw(even), False)
+
+    potential = draw(st.sampled_from(
+        sorted(k for k in config._KINDS["potential"][1] if k is not None)))
+    theta0 = draw(_floats(0.1, 10))
+    r0 = draw(_floats(0.05, 0.95))
+    put("potential", "kind", potential)
+    if draw(st.booleans()):  # 0 < theta < theta0 holds for the defaults too
+        put("potential", "theta", theta0 * draw(_floats(0.01, 0.99)), False)
+        put("potential", "theta0", theta0, False)
+    put("potential", "r0", r0, potential != "regularized")
+    if potential == "regularized":
+        put("potential", "kappa", r0 * draw(_floats(0.01, 0.99)), False)
+
+    law = draw(st.sampled_from(sorted(config._KINDS["exchange"][1])))
+    put("exchange", "kind", law, False)
+    for key in config._KINDS["exchange"][1][law][1]:
+        put("exchange", key, draw(_floats(1e-3, 1e3)))
+
+    for key in config._SCHEMA["params"]:
+        put("params", key, draw(_floats(1e-3, 1e3)))
+
+    dt = draw(_floats(1e-6, 1.0))
+    put("stepper", "dt", dt, False)
+    put("stepper", "newton_tol", draw(_floats(1e-14, 1e-2)))
+    put("stepper", "newton_max_iters", draw(st.integers(0, 100)))
+    put("stepper", "dt_min", dt * draw(_floats(1e-4, 1.0)))
+    put("stepper", "damping", draw(_floats(0.01, 0.99)))
+    put("stepper", "dealias", draw(st.sampled_from(["true", "false"])))
+    put("stepper", "gmres_tol", draw(_floats(1e-14, 1e-2)))
+    put("stepper", "kappa_fallback", draw(_floats(1e-8, 0.4)))
+
+    initial = draw(st.sampled_from(sorted(config._KINDS["initial"][1])))
+    name = st.text("abcxyz019_./-", min_size=1, max_size=12)
+    put("initial", "kind", initial, False)
+    put("initial", "phi_mean", draw(_floats(-0.5, 0.5)))
+    put("initial", "amplitude", draw(_floats(0.0, 0.49)))
+    put("initial", "seed", draw(st.integers(0, 2**32)), initial != "random")
+    put("initial", "path", draw(name), initial != "file")
+    put("initial", "v_amplitude", draw(_floats(0.0, 1.0)))
+    put("initial", "cutoff", draw(st.integers(1, 64)))
+    put("initial", "v0", draw(_floats(-10, 10)))
+    put("initial", "u0", draw(_floats(-10, 10)))
+
+    put("schedule", "t_final", draw(st.integers(0, 10**4)) * dt, False)
+    put("schedule", "sample_stride", draw(st.integers(1, 100)))
+    put("schedule", "checkpoint_stride", draw(st.integers(0, 100)))
+
+    put("experiment", "kind", draw(st.sampled_from(
+        ["large_d", "kappa", "equilibrium_convergence", "absorbing"])))
+    for key in ("d_list", "kappa_list", "scales"):
+        items = draw(st.lists(_floats(1e-6, 1e6), max_size=4))
+        put("experiment", key, ", ".join(map(repr, items)))
+    put("experiment", "t_star", draw(_floats(0.0, 100)))
+    put("output", "directory", draw(name))
+
+    draw(st.randoms()).shuffle(order := list(sections))
+    return "\n".join(f"[{section}]\n" + "\n".join(sections[section])
+                     for section in order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_documents())
+def test_serialize_roundtrip(text):
+    cfg = h.parse_config(text)
+    canonical = h.serialize_config(cfg)
+    again = h.parse_config(canonical)
+    assert again == cfg
+    assert h.serialize_config(again) == canonical
+
+
+def test_readme_config_block():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    h.parse_config(block)
+    # every key is documented in its own section, set or in a comment
+    parts = re.split(r"^\[(\w+)\]", block, flags=re.M)
+    documented = dict(zip(parts[1::2], parts[2::2]))
+    for section, keys in config._SCHEMA.items():
+        for key in keys:
+            assert re.search(rf"\b{key}\b", documented[section]), (section, key)
 
 
 def test_negative_delta_cites_positivity():

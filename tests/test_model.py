@@ -242,26 +242,20 @@ def test_reduced_u_from_mass():
 
 
 def test_reduced_q_of_v():
+    # the reduced model's rate is exchange_q at the mass-determined bulk value
     law = rs.ReactionExchange(b1=1.0, b2=1.0)
+    phi = rs.SurfaceField.constant(CIRCLE, 0.0)
+
+    def reduced_q(v):
+        u = rs.reduced_u_from_mass(2 * np.pi, v, np.pi)
+        return rs.exchange_q(law, u, None, phi, v, 0.0)
+
     v = rs.SurfaceField.constant(CIRCLE, 0.5)
-    q = rs.reduced_q_of_v(law, total_mass=2 * np.pi, v=v, omega_measure=np.pi)
-    assert np.max(np.abs(q.values)) <= 1e-14  # u=1: 1*(1/2) - 1/2 = 0
+    assert np.max(np.abs(reduced_q(v).values)) <= 1e-14  # u=1: 1*(1/2) - 1/2 = 0
     # v with full mass: u = 0 and q = -b2 v
     v_full = rs.SurfaceField.constant(CIRCLE, 2 * np.pi / CIRCLE.total_measure)
-    q2 = rs.reduced_q_of_v(law, total_mass=2 * np.pi, v=v_full,
-                           omega_measure=np.pi)
-    assert np.allclose(q2.values, -law.b2 * v_full.values, rtol=1e-12)
-
-
-def test_reduced_q_matches_exchange_q():
-    law = rs.ReactionExchange(b1=1.3, b2=0.4)
-    v = lowpass_field(CIRCLE, 55, 0.2, mean=0.5)
-    phi = lowpass_field(CIRCLE, 56, 0.2)
-    M, omega = 4.0, np.pi
-    u = rs.reduced_u_from_mass(M, v, omega)
-    direct = rs.reduced_q_of_v(law, M, v, omega)
-    via_exchange = rs.exchange_q(law, u, None, phi, v, 0.0)
-    assert np.allclose(direct.values, via_exchange.values, rtol=0, atol=1e-15)
+    assert np.allclose(reduced_q(v_full).values, -law.b2 * v_full.values,
+                       rtol=1e-12)
 
 
 def test_energy_identity_residual_degenerate():
