@@ -10,6 +10,7 @@ the discrete bulk mass changes by exactly -dt * (integral of the flux).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import fft as _fft
@@ -110,26 +111,50 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     return float(np.sum(integrand * g.cell_weight[:, None]))
 
 
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal solve, vectorized over the leading (mode) axis.
+@lru_cache(maxsize=16)
+def _diffusion_factors(grid: DiskGrid, D: float, dt: float):
+    """The implicit diffusion operator of one (grid, D, dt), factored once:
+    (cell, lower, cp, beta) for the Thomas substitution of diffusion_step.
 
-    lower/diag/upper have shape (m, n) with lower[:, 0] and upper[:, -1]
-    unused; rhs (m, n) may be complex.
+    Cell balance for mode k:
+      (u'_i - u_i) r_i dr = dt [ a_{i+1/2}(u'_{i+1}-u'_i)
+                                 - a_{i-1/2}(u'_i-u'_{i-1}) ]
+                             - dt D k^2 (dr/r_i) u'_i  + boundary/source terms
+    with a_{i+1/2} = D r_{i+1/2}/dr; the inner face of cell 0 carries no
+    flux (r=0) and the outer face of the last cell carries the prescribed -q.
+    Only the diagonal depends on the mode.  cp and beta are the forward
+    elimination's multipliers and pivots, shape (nr-1, nk) and (nr, nk);
+    lower, cp and beta are stored complex (with zero imaginary parts) so the
+    substitution multiplies and divides complex by complex, exactly as it
+    would after casting the real values, without a cast per call.
+
+    The cache is bounded (D ladders and dt halving add a few keys per run)
+    and shared by the sweep's threads, which is safe because every array is
+    read-only.
     """
-    m, n = rhs.shape
-    cp = np.empty((m, n - 1), dtype=diag.dtype)
-    dp = np.empty((m, n), dtype=rhs.dtype)
-    beta = diag[:, 0].copy()
-    dp[:, 0] = rhs[:, 0] / beta
-    for i in range(1, n):
-        cp[:, i - 1] = upper[:, i - 1] / beta
-        beta = diag[:, i] - lower[:, i] * cp[:, i - 1]
-        dp[:, i] = (rhs[:, i] - lower[:, i] * dp[:, i - 1]) / beta
-    x = np.empty_like(dp)
-    x[:, -1] = dp[:, -1]
-    for i in range(n - 2, -1, -1):
-        x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
-    return x
+    r = grid.radii
+    alpha = D * grid.faces / grid.dr    # (nr+1,), alpha[0] = 0
+    cell = r * grid.dr                  # (nr,)
+    a_in = alpha[:-1].copy()            # inner-face coefficient per cell
+    a_out = alpha[1:].copy()            # outer-face coefficient per cell
+    a_out[-1] = 0.0                     # outer flux prescribed, not solved
+    ksq = grid.modes**2
+    diag = (cell[:, None]
+            + dt * (a_in + a_out)[:, None]
+            + dt * D * ksq[None, :] * (grid.dr / r)[:, None])   # (nr, nk)
+    lower = -dt * a_in
+    upper = -dt * a_out
+    cp = np.empty((grid.nr - 1, ksq.size))
+    beta = np.empty_like(diag)
+    beta[0] = diag[0]
+    for i in range(1, grid.nr):
+        cp[i - 1] = upper[i - 1] / beta[i - 1]
+        beta[i] = diag[i] - lower[i] * cp[i - 1]
+    factors = (cell, lower.astype(complex), cp.astype(complex),
+               beta.astype(complex))
+    for arr in factors:
+        arr.setflags(write=False)
+    return factors
 
 
 def diffusion_step(u: BulkField, D: float, dt: float, q: SurfaceField,
@@ -140,48 +165,31 @@ def diffusion_step(u: BulkField, D: float, dt: float, q: SurfaceField,
     The flux enters the outermost cell balance directly, so
     bulk_integral(result) = bulk_integral(u) - dt*surface_integral(q)
     (+ dt*bulk_integral(source)) holds to roundoff.  q and source are frozen
-    data for the step (explicit coupling).
+    data for the step (explicit coupling).  The tridiagonal factorization of
+    each angular mode is built once per (grid, D, dt) by _diffusion_factors;
+    a call transforms u, q and the source, substitutes forward and back
+    through the radial cells, and transforms back.
     """
     if dt <= 0.0 or D <= 0.0:
         raise ValueError("diffusion_step needs dt > 0 and D > 0")
     g = u.grid
     if q.grid != g.boundary:
         raise ValueError("flux field must live on the disk's boundary circle")
+    cell, lower, cp, beta = _diffusion_factors(g, D, dt)
 
-    uh = _fft.rfft(u.values, axis=1)  # shape (nr, nk)
-    qh = _fft.rfft(q.values)
-    nk = qh.shape[0]
-
-    # Cell balance for mode k:
-    #   (u'_i - u_i) r_i dr = dt [ a_{i+1/2}(u'_{i+1}-u'_i)
-    #                              - a_{i-1/2}(u'_i-u'_{i-1}) ]
-    #                          - dt D k^2 (dr/r_i) u'_i  + boundary/source terms
-    # with a_{i+1/2} = D r_{i+1/2}/dr; the inner face of cell 0 carries no
-    # flux (r=0) and the outer face of the last cell carries the prescribed -q.
-    r = u.grid.radii
-    alpha = D * g.faces / g.dr          # (nr+1,), alpha[0] = 0
-    cell = r * g.dr                     # (nr,)
-
-    a_in = alpha[:-1].copy()            # inner-face coefficient per cell
-    a_out = alpha[1:].copy()            # outer-face coefficient per cell
-    a_out[-1] = 0.0                     # outer flux prescribed, not solved
-
-    ksq = u.grid.modes**2
-    diag = (cell[None, :]
-            + dt * (a_in + a_out)[None, :]
-            + dt * D * ksq[:, None] * (g.dr / r)[None, :])
-    lower = np.broadcast_to(-dt * a_in[None, :], (nk, g.nr)).copy()
-    upper = np.broadcast_to(-dt * a_out[None, :], (nk, g.nr)).copy()
-    # unused but must be finite
-    lower[:, 0] = 0.0
-    upper[:, -1] = 0.0
-
-    rhs = (uh * cell[:, None]).T.copy()         # (nk, nr)
-    rhs[:, -1] += dt * (-qh)
+    x = _fft.rfft(u.values, axis=1) * cell[:, None]    # (nr, nk) right side
+    x[-1] += dt * (-_fft.rfft(q.values))
     if source is not None:
-        sh = _fft.rfft(source.values, axis=1)
-        rhs += dt * (sh * cell[:, None]).T
+        x += dt * (_fft.rfft(source.values, axis=1) * cell[:, None])
 
-    sol = _thomas(lower, diag, upper, rhs)      # (nk, nr)
-    new_vals = _fft.irfft(sol.T, n=g.ntheta, axis=1)
-    return BulkField(g, new_vals)
+    rows = list(x)
+    tmp = np.empty_like(rows[0])
+    np.divide(rows[0], beta[0], out=rows[0])
+    for i in range(1, g.nr):
+        np.multiply(lower[i], rows[i - 1], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+        np.divide(rows[i], beta[i], out=rows[i])
+    for i in range(g.nr - 2, -1, -1):
+        np.multiply(cp[i], rows[i + 1], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+    return BulkField(g, _fft.irfft(x, n=g.ntheta, axis=1))

@@ -27,7 +27,12 @@ from ..bulk import BulkField, bulk_integral, bulk_mean
 from ..potentials import LOGARITHMIC
 from ..steady import postprocess_constants, steady_residual
 from ..stepper import run
-from .config import RunConfig, serialize_config
+from .config import ConfigError, RunConfig, serialize_config
+
+
+def _unsuitable(message):
+    """The error for a config that the experiment cannot run (exit 2)."""
+    return ConfigError([(None, message)])
 
 
 def _worker_count(n_jobs: int) -> int:
@@ -69,12 +74,12 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
     """
     d_list = sorted(float(d) for d in d_list)
     if not d_list:
-        raise ValueError("d_list must not be empty")
+        raise _unsuitable("d_list must not be empty")
     if cfg.system != "full" or cfg.geometry.kind != "disk":
-        raise ValueError("the large-D experiment needs the full system on the disk")
+        raise _unsuitable("the large-D experiment needs the full system on the disk")
     law = cfg.exchange
     if not isinstance(law, CutoffReactionExchange):
-        raise ValueError("the large-D experiment needs the cutoff reaction law")
+        raise _unsuitable("the large-D experiment needs the cutoff reaction law")
 
     state0 = cfg.build_initial_state()
     grid = state0.phi.grid
@@ -82,17 +87,20 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
     total_mass = omega * cfg.initial.u0 + grid.integral(state0.v.values)
     h0_expected = 2.0 * total_mass / omega
     if abs(law.h0 - h0_expected) > 1e-12 * max(1.0, h0_expected):
-        raise ValueError(
+        raise _unsuitable(
             f"cutoff threshold h0={law.h0!r} must equal 2M/|Omega|="
             f"{h0_expected!r} for this experiment")
 
     schedule = cfg.schedule
     base_params = cfg.build_params()
+    try:
+        params_of = {d: replace(base_params, D=d) for d in d_list}
+    except ValueError as exc:
+        raise _unsuitable(f"invalid experiment.d_list: {exc}") from exc
 
     def full_job(d):
         def thunk():
-            params = replace(base_params, D=d)
-            return run(state0.copy(), params, cfg.stepper, schedule)
+            return run(state0.copy(), params_of[d], cfg.stepper, schedule)
         return thunk
 
     def reduced_job():
@@ -129,10 +137,10 @@ def experiment_kappa_refinement(cfg: RunConfig, kappa_list) -> dict:
     singular run: reports L2 differences of phi at the final time."""
     kappa_list = [float(k) for k in kappa_list]
     if not kappa_list:
-        raise ValueError("kappa_list must not be empty")
+        raise _unsuitable("kappa_list must not be empty")
     if cfg.potential.kind != LOGARITHMIC:
-        raise ValueError("the refinement experiment starts from the "
-                         "logarithmic (singular) potential")
+        raise _unsuitable("the refinement experiment starts from the "
+                          "logarithmic (singular) potential")
 
     state0 = cfg.build_initial_state()
     schedule = cfg.schedule
@@ -144,8 +152,11 @@ def experiment_kappa_refinement(cfg: RunConfig, kappa_list) -> dict:
                        cfg.stepper, schedule)
         return thunk
 
-    jobs = [("singular", job(cfg.potential))]
-    jobs += [(k, job(cfg.potential.regularized(k))) for k in kappa_list]
+    try:
+        wells = [(k, cfg.potential.regularized(k)) for k in kappa_list]
+    except ValueError as exc:
+        raise _unsuitable(f"invalid experiment.kappa_list: {exc}") from exc
+    jobs = [("singular", job(cfg.potential))] + [(k, job(w)) for k, w in wells]
     results = _run_jobs(jobs)
 
     grid = state0.phi.grid
@@ -176,8 +187,8 @@ def experiment_equilibrium_convergence(cfg: RunConfig) -> dict:
     of ||phi(t) - phi(T)|| in the dual norm against (1 + t)."""
     law = cfg.exchange
     if not isinstance(law, EquilibriumExchange) or law.alpha <= 1.0:
-        raise ValueError("the convergence experiment needs the equilibrium "
-                         "law with decay exponent alpha > 1")
+        raise _unsuitable("the convergence experiment needs the equilibrium "
+                          "law with decay exponent alpha > 1")
 
     state0 = cfg.build_initial_state()
     params = cfg.build_params()
@@ -268,10 +279,13 @@ def experiment_absorbing(cfg: RunConfig, scales, t_star: float) -> dict:
     exhibiting entry into one common bounded set."""
     scales = [float(s) for s in scales]
     if not scales:
-        raise ValueError("scales must not be empty")
+        raise _unsuitable("scales must not be empty")
     if cfg.system != "reduced" or not isinstance(cfg.exchange, ReactionExchange):
-        raise ValueError("the absorbing-set sweep targets the reduced "
-                         "reaction system")
+        raise _unsuitable("the absorbing-set sweep targets the reduced "
+                          "reaction system")
+    if not 0.0 <= t_star <= cfg.schedule.t_final:
+        raise _unsuitable(f"experiment.t_star must lie in [0, t_final], "
+                          f"got {t_star!r}")
 
     params = cfg.build_params()
 

@@ -186,13 +186,19 @@ def chem_eta(phi: SurfaceField, v: SurfaceField, delta: float) -> SurfaceField:
     return SurfaceField(phi.grid, (2.0 / delta) * (2.0 * v.values - 1.0 - phi.values))
 
 
-def chem_mu(phi: SurfaceField, eta: SurfaceField,
-            potential: DoubleWell) -> SurfaceField:
-    """mu = -lap(phi) + W'(phi) - eta/2."""
-    vals = (-phi.grid.laplacian(phi.values)
+def chem_mu(phi: SurfaceField, eta: SurfaceField, potential: DoubleWell,
+            phi_h=None) -> SurfaceField:
+    """mu = -lap(phi) + W'(phi) - eta/2.
+
+    phi_h, when the caller already holds it, is grid.fft(phi.values).
+    """
+    grid = phi.grid
+    if phi_h is None:
+        phi_h = grid.fft(phi.values)
+    vals = (-grid.ifft(grid.lap_symbol * phi_h)
             + potential.deriv(phi.values)
             - 0.5 * eta.values)
-    return SurfaceField(phi.grid, vals)
+    return SurfaceField(grid, vals)
 
 
 def exchange_q(law: ExchangeLaw, u_on_gamma, eta: SurfaceField,
@@ -230,12 +236,42 @@ def affinity_deviation(phi: SurfaceField, v: SurfaceField) -> np.ndarray:
     return v.values - 0.5 * (1.0 + phi.values)
 
 
+class _SurfaceTerms:
+    """fft(phi) and the terms of (phi, v) that the surface energy, the
+    Lyapunov functional and the diagnostics share, each evaluated once:
+    ||grad phi||^2, the well integral and the squared L2 norms."""
+
+    def __init__(self, phi: SurfaceField, v: SurfaceField, params: Params):
+        grid = phi.grid
+        self.phi, self.v, self.delta = phi, v, params.delta
+        self.phi_h = grid.fft(phi.values)
+        self.grad_sq = grid.h1_seminorm_sq_of_coeffs(self.phi_h)
+        self.well = grid.integral(np.asarray(params.potential.value(phi.values)))
+        self.phi_l2_sq = grid.l2_norm(phi.values) ** 2
+        self.v_l2_sq = grid.l2_norm(v.values) ** 2
+
+    def surface_energy(self) -> float:
+        grid = self.phi.grid
+        affinity = (2.0 / self.delta) * grid.integral(
+            affinity_deviation(self.phi, self.v) ** 2)
+        return 0.5 * self.grad_sq + self.well + affinity
+
+    def lyapunov(self) -> float:
+        grid = self.phi.grid
+        d = self.delta
+        pv = grid.integral(self.phi.values * self.v.values)
+        phi_dev = self.phi.values - grid.mean(self.phi.values)
+        return (0.5 * self.grad_sq
+                + self.well
+                + (2.0 / d) * self.v_l2_sq
+                - (2.0 / d) * pv
+                + (0.5 / d) * self.phi_l2_sq
+                + 0.5 * grid.hminus1_norm(phi_dev) ** 2)
+
+
 def surface_energy(phi: SurfaceField, v: SurfaceField, params: Params) -> float:
     """Surface free energy: gradient + well + binding affinity terms."""
-    grid = phi.grid
-    well = grid.integral(np.asarray(params.potential.value(phi.values)))
-    affinity = (2.0 / params.delta) * grid.integral(affinity_deviation(phi, v) ** 2)
-    return 0.5 * grid.h1_seminorm_sq(phi.values) + well + affinity
+    return _SurfaceTerms(phi, v, params).surface_energy()
 
 
 def bulk_energy(state: State) -> float:
@@ -266,16 +302,7 @@ def lyapunov_functional(phi: SurfaceField, v: SurfaceField,
     Bounded below by c (||phi||_H1^2 + ||v||^2) - C on admissible states and
     decaying exponentially (up to a constant) along reduced trajectories.
     """
-    grid = phi.grid
-    d = params.delta
-    pv = grid.integral(phi.values * v.values)
-    phi_dev = phi.values - grid.mean(phi.values)
-    return (0.5 * grid.h1_seminorm_sq(phi.values)
-            + grid.integral(np.asarray(params.potential.value(phi.values)))
-            + (2.0 / d) * grid.l2_norm(v.values) ** 2
-            - (2.0 / d) * pv
-            + (0.5 / d) * grid.l2_norm(phi.values) ** 2
-            + 0.5 * grid.hminus1_norm(phi_dev) ** 2)
+    return _SurfaceTerms(phi, v, params).lyapunov()
 
 
 def separation_margin(phi: SurfaceField) -> float:

@@ -30,15 +30,14 @@ from .model import (
     FullState,
     Params,
     ReducedState,
+    _SurfaceTerms,
     bulk_energy,
     chem_eta,
     chem_mu,
     exchange_q,
-    lyapunov_functional,
     masses,
     reduced_u_from_mass,
     separation_margin,
-    surface_energy,
 )
 from .potentials import LOGARITHMIC
 from .surface import SurfaceField, surface_integral
@@ -341,10 +340,19 @@ def _advance(state, params, cfg, dt, counters):
 
 def diagnose(state, params: Params, newton_iters=0, substeps=0,
              fallback_steps=0) -> DiagnosticsRecord:
-    """Evaluate the full diagnostics column set at one state."""
+    """Evaluate the full diagnostics column set at one state.
+
+    fft(phi), ||grad phi||^2, the well integral and the L2 norms are
+    evaluated once (model._SurfaceTerms) and shared by the energies, the
+    Lyapunov functional, -lap(phi) in mu and phi_h1_sq, so a call transforms
+    phi, mu, eta and the mean-free phi once each and evaluates W(phi) once.
+    Every column equals its standalone functional (total_energy,
+    surface_energy, lyapunov_functional, masses, the grid's norms) exactly.
+    """
     grid = state.phi.grid
+    terms = _SurfaceTerms(state.phi, state.v, params)
     eta = chem_eta(state.phi, state.v, params.delta)
-    mu = chem_mu(state.phi, eta, params.potential)
+    mu = chem_mu(state.phi, eta, params.potential, phi_h=terms.phi_h)
     if isinstance(state, FullState):
         u_on_gamma = trace_boundary(state.u)
         u_for_rate = u_on_gamma.values
@@ -357,12 +365,12 @@ def diagnose(state, params: Params, newton_iters=0, substeps=0,
         u_scalar = state.u
     q = exchange_q(params.exchange, u_on_gamma, eta, state.phi, state.v, state.t)
     combined, phi_mass = masses(state)
-    surface = surface_energy(state.phi, state.v, params)
+    surface = terms.surface_energy()
     return DiagnosticsRecord(
         t=state.t,
         total_energy=bulk_energy(state) + surface,  # as model.total_energy
         surface_energy=surface,
-        lyapunov=lyapunov_functional(state.phi, state.v, params),
+        lyapunov=terms.lyapunov(),
         combined_mass=combined,
         phi_mass=phi_mass,
         separation_margin=separation_margin(state.phi),
@@ -371,9 +379,8 @@ def diagnose(state, params: Params, newton_iters=0, substeps=0,
         eta_grad_sq=grid.h1_seminorm_sq(eta.values),
         exchange_integral=surface_integral(q),
         exchange_energy_rate=grid.integral(q.values * (eta.values - u_for_rate)),
-        phi_h1_sq=grid.l2_norm(state.phi.values) ** 2
-        + grid.h1_seminorm_sq(state.phi.values),
-        v_l2_sq=grid.l2_norm(state.v.values) ** 2,
+        phi_h1_sq=terms.phi_l2_sq + terms.grad_sq,
+        v_l2_sq=terms.v_l2_sq,
         u_scalar=u_scalar,
         newton_iters=newton_iters,
         substeps=substeps,

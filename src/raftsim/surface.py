@@ -180,7 +180,10 @@ class SurfaceGrid:
         return float(np.sqrt(np.sum(np.asarray(values) ** 2) * self.node_weight))
 
     def h1_seminorm_sq(self, values):
-        coeffs = self.fft(values)
+        return self.h1_seminorm_sq_of_coeffs(self.fft(values))
+
+    def h1_seminorm_sq_of_coeffs(self, coeffs):
+        """h1_seminorm_sq of the field whose transform is `coeffs`."""
         return float(np.sum(self._parseval * self._ksq * np.abs(coeffs) ** 2))
 
     def hminus1_norm(self, values):

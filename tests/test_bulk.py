@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 import raftsim as rs
+import raftsim.bulk as bulk_mod
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +193,116 @@ def test_step_validation(disk):
 def test_field_validation(disk):
     with pytest.raises(ValueError):
         rs.BulkField(disk, np.zeros((3, 3)))
+
+
+def reference_diffusion_step(u, D, dt, q, source=None):
+    """The diffusion step as it was before its factorization was cached:
+    assemble the tridiagonal system of every angular mode and eliminate it
+    by the Thomas algorithm on each call."""
+    g = u.grid
+    uh = sp_fft.rfft(u.values, axis=1)
+    qh = sp_fft.rfft(q.values)
+    nk = qh.shape[0]
+    r = g.radii
+    alpha = D * g.faces / g.dr
+    cell = r * g.dr
+    a_in = alpha[:-1].copy()
+    a_out = alpha[1:].copy()
+    a_out[-1] = 0.0
+    ksq = g.modes**2
+    diag = (cell[None, :]
+            + dt * (a_in + a_out)[None, :]
+            + dt * D * ksq[:, None] * (g.dr / r)[None, :])
+    lower = np.broadcast_to(-dt * a_in[None, :], (nk, g.nr)).copy()
+    upper = np.broadcast_to(-dt * a_out[None, :], (nk, g.nr)).copy()
+    lower[:, 0] = 0.0
+    upper[:, -1] = 0.0
+    rhs = (uh * cell[:, None]).T.copy()
+    rhs[:, -1] += dt * (-qh)
+    if source is not None:
+        sh = sp_fft.rfft(source.values, axis=1)
+        rhs += dt * (sh * cell[:, None]).T
+
+    m, n = rhs.shape
+    cp = np.empty((m, n - 1))
+    dp = np.empty((m, n), dtype=rhs.dtype)
+    beta = diag[:, 0].copy()
+    dp[:, 0] = rhs[:, 0] / beta
+    for i in range(1, n):
+        cp[:, i - 1] = upper[:, i - 1] / beta
+        beta = diag[:, i] - lower[:, i] * cp[:, i - 1]
+        dp[:, i] = (rhs[:, i] - lower[:, i] * dp[:, i - 1]) / beta
+    x = np.empty_like(dp)
+    x[:, -1] = dp[:, -1]
+    for i in range(n - 2, -1, -1):
+        x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
+    return sp_fft.irfft(x.T, n=g.ntheta, axis=1)
+
+
+def random_step_data(grid, seed):
+    rng = np.random.default_rng(seed)
+    shape = (grid.nr, grid.ntheta)
+    u = rs.BulkField(grid, 1.0 + 0.3 * rng.standard_normal(shape))
+    q = rs.SurfaceField(grid.boundary, rng.standard_normal(grid.ntheta))
+    src = rs.BulkField(grid, rng.standard_normal(shape))
+    return u, q, src
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("dt", [2e-3, 2e-3 / 1024])
+@pytest.mark.parametrize("D", [1.0, 1e4])
+def test_cached_factorization_matches_per_call_thomas(D, dt, with_source):
+    grid = rs.DiskGrid(24, 64)
+    u, q, src = random_step_data(grid, seed=7)
+    source = src if with_source else None
+    for _ in range(3):   # the first call builds the factors, the rest reuse them
+        out = rs.diffusion_step(u, D, dt, q, source=source)
+        expected = reference_diffusion_step(u, D, dt, q, source=source)
+        assert np.array_equal(out.values, expected)
+        u = out
+
+
+def test_diffusion_factor_cache_bounded_and_read_only():
+    cache = bulk_mod._diffusion_factors
+    grid = rs.DiskGrid(8, 16)
+    u, q, _ = random_step_data(grid, seed=3)
+    for k in range(cache.cache_info().maxsize + 4):
+        rs.diffusion_step(u, 1.0, 1e-3 * (k + 1), q)
+    info = cache.cache_info()
+    assert info.maxsize is not None and info.currsize == info.maxsize
+    factors = cache(grid, 1.0, 1e-3)
+    assert factors and not any(a.flags.writeable for a in factors)
+
+
+def test_diffusion_factor_cache_shared_by_threads():
+    # 8 threads (more than cores) race to build and read the factors of
+    # three (D, dt) pairs from an empty cache; every step must equal the
+    # sequential one bit for bit
+    grid = rs.DiskGrid(24, 64)
+    u, q, src = random_step_data(grid, seed=11)
+    keys = ((1.0, 2e-3), (1e4, 2e-3), (1.0, 1e-3))
+
+    def step(key):
+        return rs.diffusion_step(u, key[0], key[1], q, source=src).values
+
+    expected = [step(key) for key in keys]
+    bulk_mod._diffusion_factors.cache_clear()
+    results = [None] * 8
+
+    def worker(k):
+        results[k] = [step(keys[(k + j) % 3]) for j in range(6)]
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for k, got in enumerate(results):
+        for j, vals in enumerate(got):
+            assert np.array_equal(vals, expected[(k + j) % 3])

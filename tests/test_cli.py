@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import raftsim.harness as h
+import test_experiments
 from raftsim.harness.cli import main
 
 REDUCED = """
@@ -246,3 +247,22 @@ def test_absorbing_selected_by_config(tmp_path):
     report = json.loads((out / "absorbing.json").read_text())
     assert report["experiment"] == "absorbing"
     assert len(report["rows"]) == 2
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("sweep-d", test_experiments.TINY_FULL + "[experiment]\nd_list = 0, 10\n",
+     "diffusivity D must be positive"),
+    ("sweep-d", REDUCED, "the large-D experiment needs the full system"),
+    ("sweep-kappa", REDUCED + "\n[experiment]\nkappa_list = 0.9\n",
+     "regularized well needs 0 < kappa < r0"),
+    ("sweep-d", REDUCED + "\n[experiment]\nkind = absorbing\nt_star = -1\n",
+     "experiment.t_star must lie in [0, t_final]"),
+], ids=["d_list_zero", "reduced_config", "kappa_above_r0", "negative_t_star"])
+def test_experiment_rejects_unsuitable_config(tmp_path, capsys, command, text,
+                                              message):
+    # each once ended in a traceback (exit 1) or, for t_star, exit 0
+    path = tmp_path / "exp.ini"
+    path.write_text(text)
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert message in capsys.readouterr().err

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import raftsim as rs
-import raftsim.model as model_mod
 import raftsim.stepper as stepper_mod
 from conftest import full_state, lowpass_field, reduced_state
 
@@ -313,26 +312,91 @@ def test_step_operator_cache_shared_by_threads():
         assert not any(a.flags.writeable for a in arrays)
 
 
-def test_diagnose_evaluates_surface_energy_once(monkeypatch):
-    disk_state = full_state(rs.DiskGrid(24, 64), seed=5, amplitude=0.3)
-    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+def standalone_record(st, params):
+    """The diagnostics record assembled from the standalone functionals,
+    each evaluating its own transforms and well."""
+    grid = st.phi.grid
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    mu = rs.chem_mu(st.phi, eta, params.potential)
+    assert np.array_equal(mu.values, -grid.laplacian(st.phi.values)
+                          + params.potential.deriv(st.phi.values)
+                          - 0.5 * eta.values)
+    if isinstance(st, rs.FullState):
+        u_on_gamma = rs.trace_boundary(st.u)
+        u_for_rate = u_on_gamma.values
+        bulk_diss = params.D * rs.bulk_grad_norm_sq(st.u)
+        u_scalar = rs.bulk_mean(st.u)
+    else:
+        u_on_gamma = u_for_rate = u_scalar = st.u
+        bulk_diss = 0.0
+    q = rs.exchange_q(params.exchange, u_on_gamma, eta, st.phi, st.v, st.t)
+    combined, phi_mass = rs.masses(st)
+    return rs.DiagnosticsRecord(
+        t=st.t,
+        total_energy=rs.total_energy(st, params),
+        surface_energy=rs.surface_energy(st.phi, st.v, params),
+        lyapunov=rs.lyapunov_functional(st.phi, st.v, params),
+        combined_mass=combined,
+        phi_mass=phi_mass,
+        separation_margin=rs.separation_margin(st.phi),
+        bulk_dissipation=bulk_diss,
+        mu_grad_sq=grid.h1_seminorm_sq(mu.values),
+        eta_grad_sq=grid.h1_seminorm_sq(eta.values),
+        exchange_integral=rs.surface_integral(q),
+        exchange_energy_rate=grid.integral(q.values * (eta.values - u_for_rate)),
+        phi_h1_sq=grid.l2_norm(st.phi.values) ** 2
+        + grid.h1_seminorm_sq(st.phi.values),
+        v_l2_sq=grid.l2_norm(st.v.values) ** 2,
+        u_scalar=u_scalar,
+        newton_iters=0,
+        substeps=0,
+        fallback_steps=0,
+    )
+
+
+def contract_states():
+    """A reduced circle, a reduced torus and a disk state, with v (and u)
+    varying in space so that no term vanishes."""
+    torus = rs.SurfaceGrid.torus(16, 16)
+    out = []
+    for grid, seed in ((CIRCLE, 3), (torus, 4)):
+        phi = lowpass_field(grid, seed, 0.3, mean=0.1)
+        v = lowpass_field(grid, seed + 10, 0.2, mean=0.5)
+        out.append(rs.ReducedState.from_mass(0.25, phi, v, 5.0))
+    disk = rs.DiskGrid(24, 64)
+    st = full_state(disk, seed=5, amplitude=0.3)
+    st.v = lowpass_field(disk.boundary, 15, 0.2, mean=0.5)
+    r = disk.radii[:, None]
+    st.u = rs.BulkField(disk, 1.0 + 0.2 * r**2 * st.v.values[None, :])
+    out.append(st)
+    return out
+
+
+def test_diagnose_equals_standalone_functionals(monkeypatch):
+    params = rs.Params(D=3.0, delta=0.8,
+                       potential=rs.DoubleWell(theta=1.0, theta0=2.5),
                        exchange=rs.EquilibriumExchange(a0=1.0))
-    for st in (reduced_state(CIRCLE, seed=3, amplitude=0.3), disk_state):
-        rec = rs.diagnose(st, params)
-        assert rec.total_energy == rs.total_energy(st, params)
-        assert rec.surface_energy == rs.surface_energy(st.phi, st.v, params)
+    states = contract_states()
+    for st in states:
+        assert rs.diagnose(st, params) == standalone_record(st, params)
 
-    original = model_mod.surface_energy
-    calls = []
+    # one diagnose evaluates the well once and transforms phi once (plus
+    # mu, eta and the mean-free phi of the H^-1 norm)
+    calls = {"value": 0, "fft": 0}
+    value, fft = rs.DoubleWell.value, rs.SurfaceGrid.fft
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted_value(self, r):
+        calls["value"] += 1
+        return value(self, r)
 
-    monkeypatch.setattr(stepper_mod, "surface_energy", counted)
-    monkeypatch.setattr(model_mod, "surface_energy", counted)
-    rs.diagnose(disk_state, params)
-    assert len(calls) == 1
+    def counted_fft(self, values):
+        calls["fft"] += 1
+        return fft(self, values)
+
+    monkeypatch.setattr(rs.DoubleWell, "value", counted_value)
+    monkeypatch.setattr(rs.SurfaceGrid, "fft", counted_fft)
+    rs.diagnose(states[-1], params)
+    assert calls == {"value": 1, "fft": 4}
 
 
 def test_dt_halving_retry(monkeypatch):
