@@ -128,9 +128,10 @@ def _diffusion_factors(grid: DiskGrid, D: float, dt: float):
     substitution multiplies and divides complex by complex, exactly as it
     would after casting the real values, without a cast per call.
 
-    The cache is bounded (D ladders and dt halving add a few keys per run)
-    and shared by the sweep's threads, which is safe because every array is
-    read-only.
+    The cache is bounded (D ladders and dt halving add a few keys per run).
+    Every run with the same key shares its arrays, including a library
+    caller's runs on other threads, so they are read-only: no run can change
+    another's.
     """
     r = grid.radii
     alpha = D * grid.faces / grid.dr    # (nr+1,), alpha[0] = 0

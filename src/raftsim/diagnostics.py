@@ -9,6 +9,7 @@ test-suite can be read off a series file.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 
 @dataclass
@@ -34,3 +35,5 @@ class DiagnosticsRecord:
 
 
 COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord))
+INT_COLUMNS = tuple(name for name, kind in get_type_hints(DiagnosticsRecord).items()
+                    if kind is int)

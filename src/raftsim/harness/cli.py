@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: run-full, run-reduced, steady, sweep-d, sweep-kappa,
-converge-eq.  Exit codes: 0 success, 2 configuration error, 3 solver
-failure.  Every run writes a diagnostics series (series.csv), a final
-snapshot, and optional periodic checkpoints into the output directory.
+`_COMMANDS` names the subcommands, with their help and handlers.  Exit
+codes: 0 success, 2 configuration error, 3 solver failure.  Every run
+writes a diagnostics series (series.csv), a final snapshot, and optional
+periodic checkpoints into the output directory.
 """
 
 from __future__ import annotations
@@ -12,10 +12,12 @@ import argparse
 import json
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from ..potentials import LOGARITHMIC
 from ..steady import NonConvergenceError, solve_stationary_phi, steady_residual
 from ..stepper import DtUnderflowError, NewtonDivergenceError, run
 from .config import ConfigError, parse_config, serialize_config
@@ -31,31 +33,6 @@ from .io import (CorruptSnapshotError, SnapshotMismatchError, param_hash,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="raftsim",
-        description="bulk-surface coupled phase-separation simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("run-full", "advance the bulk-surface coupled system"),
-        ("run-reduced", "advance the reduced nonlocal surface system"),
-        ("steady", "solve the constrained stationary problem"),
-        ("sweep-d", "large-diffusion ladder vs. the reduced system"),
-        ("sweep-kappa", "regularization refinement sweep"),
-        ("converge-eq", "equilibrium-case convergence experiment"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("--config", required=True, help="config file path")
-        cmd.add_argument("--out", default=None, help="output directory")
-        cmd.add_argument("--override", action="append", default=[],
-                         metavar="KEY=VALUE",
-                         help="override a config entry, e.g. stepper.dt=1e-3")
-        if name in ("run-full", "run-reduced"):
-            cmd.add_argument("--resume", default=None,
-                             help="resume from a snapshot file")
-    return parser
 
 
 def _load_config(args, forced_system=None):
@@ -94,6 +71,10 @@ def _cmd_run(args, system):
     else:
         state = cfg.build_initial_state()
         schedule = cfg.schedule
+    max_abs_phi = float(np.max(np.abs(state.phi.values)))
+    if cfg.potential.kind == LOGARITHMIC and max_abs_phi >= 1.0:
+        raise ConfigError([(None, f"start state has max|phi| = {max_abs_phi!r}; "
+                                  "the logarithmic well needs |phi| < 1")])
 
     # name checkpoints by the step counted from t = 0, so a resumed run
     # does not overwrite the checkpoint it started from
@@ -149,53 +130,87 @@ def _cmd_steady(args):
     return EXIT_OK
 
 
+def _large_d(cfg):
+    return experiment_large_d(
+        cfg, cfg.experiment.d_list or (10.0, 100.0, 1000.0, 10000.0))
+
+
+def _kappa(cfg):
+    return experiment_kappa_refinement(
+        cfg, cfg.experiment.kappa_list or (1e-2, 1e-3, 1e-4))
+
+
+def _absorbing(cfg):
+    t_star = cfg.experiment.t_star
+    if t_star is None:
+        t_star = 0.5 * cfg.schedule.t_final
+    return experiment_absorbing(cfg, cfg.experiment.scales or (1.0, 3.0),
+                                t_star)
+
+
+# experiment kind: (report file, report of a config)
+_EXPERIMENTS = {
+    "large_d": ("large_d.json", _large_d),
+    "kappa": ("kappa.json", _kappa),
+    "equilibrium_convergence": ("equilibrium.json",
+                                experiment_equilibrium_convergence),
+    "absorbing": ("absorbing.json", _absorbing),
+}
+
+
 def _cmd_experiment(args, kind):
     cfg = _load_config(args)
     out = _out_dir(args, cfg)
     if cfg.experiment.kind == "absorbing":
         # the absorbing-set sweep is selected by the config, not a subcommand
         kind = "absorbing"
-    if kind == "large_d":
-        d_list = cfg.experiment.d_list or (10.0, 100.0, 1000.0, 10000.0)
-        report = experiment_large_d(cfg, d_list)
-        name = "large_d.json"
-    elif kind == "kappa":
-        kappa_list = cfg.experiment.kappa_list or (1e-2, 1e-3, 1e-4)
-        report = experiment_kappa_refinement(cfg, kappa_list)
-        name = "kappa.json"
-    elif kind == "equilibrium_convergence":
-        report = experiment_equilibrium_convergence(cfg)
-        name = "equilibrium.json"
-    elif kind == "absorbing":
-        scales = cfg.experiment.scales or (1.0, 3.0)
-        t_star = cfg.experiment.t_star
-        if t_star is None:
-            t_star = 0.5 * cfg.schedule.t_final
-        report = experiment_absorbing(cfg, scales, t_star)
-        name = "absorbing.json"
-    else:
-        raise AssertionError(kind)
+    name, experiment = _EXPERIMENTS[kind]
+    report = experiment(cfg)
     (out / name).write_text(json.dumps(report, indent=2), encoding="utf-8")
     print(f"wrote {out / name}")
     return EXIT_OK
 
 
+# subcommand: (help, handler, takes --resume)
+_COMMANDS = {
+    "run-full": ("advance the bulk-surface coupled system",
+                 partial(_cmd_run, system="full"), True),
+    "run-reduced": ("advance the reduced nonlocal surface system",
+                    partial(_cmd_run, system="reduced"), True),
+    "steady": ("solve the constrained stationary problem", _cmd_steady, False),
+    "sweep-d": ("large-diffusion ladder vs. the reduced system",
+                partial(_cmd_experiment, kind="large_d"), False),
+    "sweep-kappa": ("regularization refinement sweep",
+                    partial(_cmd_experiment, kind="kappa"), False),
+    "converge-eq": ("equilibrium-case convergence experiment",
+                    partial(_cmd_experiment, kind="equilibrium_convergence"),
+                    False),
+}
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="raftsim",
+        description="bulk-surface coupled phase-separation simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, resumable) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
+        cmd.add_argument("--config", required=True, help="config file path")
+        cmd.add_argument("--out", default=None, help="output directory")
+        cmd.add_argument("--override", action="append", default=[],
+                         metavar="KEY=VALUE",
+                         help="override a config entry, e.g. stepper.dt=1e-3")
+        if resumable:
+            cmd.add_argument("--resume", default=None,
+                             help="resume from a snapshot file")
+    return parser
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run-full":
-            return _cmd_run(args, "full")
-        if args.command == "run-reduced":
-            return _cmd_run(args, "reduced")
-        if args.command == "steady":
-            return _cmd_steady(args)
-        if args.command == "sweep-d":
-            return _cmd_experiment(args, "large_d")
-        if args.command == "sweep-kappa":
-            return _cmd_experiment(args, "kappa")
-        if args.command == "converge-eq":
-            return _cmd_experiment(args, "equilibrium_convergence")
-        raise AssertionError(args.command)
+        return args.handler(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -2,15 +2,14 @@
 convergence to equilibrium, and absorbing-set sweeps.
 
 Every experiment is a pure function of its RunConfig (plus explicit sweep
-lists), returns a JSON-ready report embedding the resolved config, and runs
-its sweep elements as independent jobs.  RAFTSIM_THREADS caps the worker
-count (default: the number of logical processors)."""
+lists) and returns a JSON-ready report embedding the resolved config.  A
+sweep runs its members one after another, in parameter order, on the
+calling thread: the members are Python-bound, so threads would only contend
+for the interpreter lock."""
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -33,22 +32,6 @@ from .config import ConfigError, RunConfig, serialize_config
 def _unsuitable(message):
     """The error for a config that the experiment cannot run (exit 2)."""
     return ConfigError([(None, message)])
-
-
-def _worker_count(n_jobs: int) -> int:
-    env = os.environ.get("RAFTSIM_THREADS", "").strip()
-    cap = int(env) if env else (os.cpu_count() or 1)
-    return max(1, min(cap, n_jobs))
-
-
-def _run_jobs(jobs):
-    """Execute (key, thunk) jobs, optionally in parallel; results keyed."""
-    workers = _worker_count(len(jobs))
-    if workers == 1:
-        return {key: thunk() for key, thunk in jobs}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {key: pool.submit(thunk) for key, thunk in jobs}
-        return {key: fut.result() for key, fut in futures.items()}
 
 
 def _left_endpoint_integral(records, column_getter):
@@ -98,25 +81,16 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
     except ValueError as exc:
         raise _unsuitable(f"invalid experiment.d_list: {exc}") from exc
 
-    def full_job(d):
-        def thunk():
-            return run(state0.copy(), params_of[d], cfg.stepper, schedule)
-        return thunk
-
-    def reduced_job():
-        red0 = ReducedState(0.0, cfg.initial.u0, state0.phi.copy(),
-                            state0.v.copy(), total_mass, omega)
-        params = replace(base_params, omega_measure=omega)
-        return run(red0, params, cfg.stepper, schedule)
-
-    jobs = [(d, full_job(d)) for d in d_list] + [("reduced", reduced_job)]
-    results = _run_jobs(jobs)
-    reduced_traj = results["reduced"]
+    full_trajs = [run(state0.copy(), params_of[d], cfg.stepper, schedule)
+                  for d in d_list]
+    red0 = ReducedState(0.0, cfg.initial.u0, state0.phi.copy(),
+                        state0.v.copy(), total_mass, omega)
+    reduced_traj = run(red0, replace(base_params, omega_measure=omega),
+                       cfg.stepper, schedule)
     red_u = np.array([r.u_scalar for r in reduced_traj.records])
 
     rows = []
-    for d in d_list:
-        traj = results[d]
+    for d, traj in zip(d_list, full_trajs):
         full_u = np.array([r.u_scalar for r in traj.records])
         err = float(np.max(np.abs(full_u - red_u)))
         hetero = _left_endpoint_integral(traj.records,
@@ -146,25 +120,21 @@ def experiment_kappa_refinement(cfg: RunConfig, kappa_list) -> dict:
     schedule = cfg.schedule
     base_params = cfg.build_params()
 
-    def job(pot):
-        def thunk():
-            return run(state0.copy(), replace(base_params, potential=pot),
-                       cfg.stepper, schedule)
-        return thunk
-
     try:
-        wells = [(k, cfg.potential.regularized(k)) for k in kappa_list]
+        wells = [cfg.potential.regularized(k) for k in kappa_list]
     except ValueError as exc:
         raise _unsuitable(f"invalid experiment.kappa_list: {exc}") from exc
-    jobs = [("singular", job(cfg.potential))] + [(k, job(w)) for k, w in wells]
-    results = _run_jobs(jobs)
+    phi_sing, *phi_reg = [
+        run(state0.copy(), replace(base_params, potential=pot), cfg.stepper,
+            schedule).final_state.phi.values
+        for pot in [cfg.potential] + wells]
+    phi_of = dict(zip(kappa_list, phi_reg))
 
     grid = state0.phi.grid
-    phi_sing = results["singular"].final_state.phi.values
     rows = []
     prev = None
     for k in sorted(kappa_list, reverse=True):  # large kappa first
-        phi_k = results[k].final_state.phi.values
+        phi_k = phi_of[k]
         row = {"kappa": k,
                "l2_diff_singular": grid.l2_norm(phi_k - phi_sing)}
         if prev is not None:
@@ -288,20 +258,12 @@ def experiment_absorbing(cfg: RunConfig, scales, t_star: float) -> dict:
                           f"got {t_star!r}")
 
     params = cfg.build_params()
-
-    def job(scale):
-        def thunk():
-            init = replace(cfg.initial,
-                           amplitude=cfg.initial.amplitude * scale,
-                           v_amplitude=cfg.initial.v_amplitude * scale)
-            state0 = replace(cfg, initial=init).build_initial_state()
-            return run(state0, params, cfg.stepper, cfg.schedule)
-        return thunk
-
-    results = _run_jobs([(s, job(s)) for s in scales])
     rows = []
     for s in scales:
-        traj = results[s]
+        init = replace(cfg.initial, amplitude=cfg.initial.amplitude * s,
+                       v_amplitude=cfg.initial.v_amplitude * s)
+        state0 = replace(cfg, initial=init).build_initial_state()
+        traj = run(state0, params, cfg.stepper, cfg.schedule)
         tail = [r for r in traj.records if r.t >= t_star]
         sup_norm = max(r.phi_h1_sq + r.v_l2_sq for r in tail)
         initial_norm = traj.records[0].phi_h1_sq + traj.records[0].v_l2_sq

@@ -8,8 +8,9 @@ field names/sizes, and exact scalars as C99 hex floats), followed by the raw
 little-endian float64 payload of each field in declared order.  Reading a
 snapshot reproduces the state bit-exactly; a parameter hash recorded at write
 time lets resume refuse configs that would silently change the physics.
-Snapshots are written atomically, and a file whose header does not parse or
-whose payload differs from the declared size is refused on read.
+Snapshots are written atomically, and a file whose header does not parse,
+whose payload differs from the declared size, or whose grid and fields do
+not make a valid state is refused on read.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..bulk import BulkField, DiskGrid
-from ..diagnostics import COLUMNS
+from ..diagnostics import COLUMNS, INT_COLUMNS
 from ..model import FullState, ReducedState
 from ..surface import SurfaceField, SurfaceGrid
 from .config import RunConfig, serialize_config
@@ -33,7 +34,8 @@ class SnapshotMismatchError(RuntimeError):
 
 
 class CorruptSnapshotError(ValueError):
-    """Snapshot header is unreadable, or the payload is not the declared size."""
+    """Snapshot header is unreadable, the payload is not the declared size,
+    or the grid and state it describes cannot be built."""
 
 
 def write_series(records, path):
@@ -44,7 +46,7 @@ def write_series(records, path):
             cells = []
             for name in COLUMNS:
                 value = getattr(rec, name)
-                if isinstance(value, (int, np.integer)):
+                if name in INT_COLUMNS:
                     cells.append(str(int(value)))
                 else:
                     cells.append(f"{value:.17g}")
@@ -60,8 +62,7 @@ def read_series(path):
             parts = line.strip().split(",")
             row = {}
             for name, cell in zip(header, parts):
-                row[name] = int(cell) if name in ("newton_iters", "substeps",
-                                                  "fallback_steps") else float(cell)
+                row[name] = int(cell) if name in INT_COLUMNS else float(cell)
             rows.append(row)
     return rows
 
@@ -154,6 +155,15 @@ def read_snapshot(path, expect_param_hash: str | None = None):
         raise CorruptSnapshotError(
             f"{path}: payload holds {len(blob)} bytes, the header declares "
             f"{declared}")
+    try:
+        return _build_state(header, blob), stored_hash
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptSnapshotError(
+            f"{path}: snapshot holds no valid state ({exc})") from exc
+
+
+def _build_state(header, blob):
+    """The state described by a snapshot's header and payload."""
     arrays = {}
     offset = 0
     for name, count in header["fields"]:
@@ -168,7 +178,7 @@ def read_snapshot(path, expect_param_hash: str | None = None):
         u = BulkField(dg, arrays["u"].reshape(dg.nr, dg.ntheta))
         phi = SurfaceField(dg.boundary, arrays["phi"])
         v = SurfaceField(dg.boundary, arrays["v"])
-        return FullState(t, u, phi, v), stored_hash
+        return FullState(t, u, phi, v)
 
     if spec["kind"] == "circle":
         grid = SurfaceGrid.circle(spec["n"])
@@ -179,7 +189,6 @@ def read_snapshot(path, expect_param_hash: str | None = None):
     phi = SurfaceField(grid, arrays["phi"].reshape(grid.shape))
     v = SurfaceField(grid, arrays["v"].reshape(grid.shape))
     scalars = header["scalars"]
-    state = ReducedState(t, float.fromhex(scalars["u"]), phi, v,
-                         float.fromhex(scalars["total_mass"]),
-                         float.fromhex(scalars["omega_measure"]))
-    return state, stored_hash
+    return ReducedState(t, float.fromhex(scalars["u"]), phi, v,
+                        float.fromhex(scalars["total_mass"]),
+                        float.fromhex(scalars["omega_measure"]))

@@ -118,8 +118,9 @@ def _step_operators(grid, delta, dt, dealias):
     fft(1), and on dense circles the Schur circulant and dt * Laplacian
     (None elsewhere).
 
-    The cache is bounded (dt halving adds a few keys per run) and shared by
-    the sweep's threads, which is safe because every array is read-only.
+    The cache is bounded (dt halving adds a few keys per run).  Every run
+    with the same key shares its arrays, including a library caller's runs
+    on other threads, so they are read-only: no run can change another's.
     """
     ksq = -grid.lap_symbol
     c1 = 1.0 + dt * ksq**2 + (dt / delta) * ksq

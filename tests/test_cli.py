@@ -169,16 +169,49 @@ def test_resume_refuses_other_physics(config_file, tmp_path, capsys):
     assert "different configuration" in capsys.readouterr().err
 
 
-def test_resume_rejects_truncated_snapshot(config_file, tmp_path, capsys):
+def _truncate(header, values):
+    return header, values[:-1]
+
+
+def _set_phi_node(value):
+    def edit(header, values):
+        values[3] = value    # phi is the first field of a reduced snapshot
+        return header, values
+    return edit
+
+
+def _break_mass_relation(header, values):
+    values[-1] += 1.0        # v no longer matches u and the total mass
+    return header, values
+
+
+def _resize_grid(header, values):
+    header["grid"]["n"] = 31
+    return header, values
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(_truncate, "payload", id="truncated"),
+    pytest.param(_set_phi_node(np.nan), "non-finite", id="nan"),
+    pytest.param(_break_mass_relation, "mass relation", id="mass"),
+    pytest.param(_resize_grid, "node counts", id="grid"),
+    pytest.param(_set_phi_node(1.0), "|phi| < 1", id="phi_at_pure_state"),
+])
+def test_resume_rejects_truncated_snapshot(config_file, tmp_path, capsys, edit,
+                                           message):
+    # a snapshot that cannot be resumed exits 2 with the reason, never with
+    # a traceback
     out = tmp_path / "out"
     assert main(["run-reduced", "--config", str(config_file),
                  "--out", str(out)]) == 0
     snap = out / "final.snap"
-    snap.write_bytes(snap.read_bytes()[:-8])
+    line, _, blob = snap.read_bytes().partition(b"\n")
+    header, values = edit(json.loads(line), np.frombuffer(blob, "<f8").copy())
+    snap.write_bytes(json.dumps(header).encode() + b"\n" + values.tobytes())
     code = main(["run-reduced", "--config", str(config_file),
                  "--out", str(tmp_path / "o2"), "--resume", str(snap)])
     assert code == 2
-    assert "payload" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_resume_rejects_garbage_header(config_file, tmp_path, capsys):

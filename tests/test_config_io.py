@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import raftsim as rs
 import raftsim.harness as h
+from raftsim.diagnostics import INT_COLUMNS
 from raftsim.harness import config
 
 MINIMAL_REDUCED = """
@@ -316,4 +317,5 @@ def test_series_roundtrip(tmp_path):
         # 17 significant digits reproduce doubles exactly
         assert row["total_energy"] == rec.total_energy
         assert row["combined_mass"] == rec.combined_mass
-        assert row["newton_iters"] == rec.newton_iters
+        for name in INT_COLUMNS:
+            assert type(row[name]) is int and row[name] == getattr(rec, name)

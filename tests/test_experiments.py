@@ -1,7 +1,10 @@
+import threading
+
 import pytest
 
 import raftsim as rs
 import raftsim.harness as h
+from raftsim.harness import experiments
 from raftsim.harness.experiments import (
     experiment_absorbing,
     experiment_equilibrium_convergence,
@@ -120,11 +123,55 @@ def test_absorbing_validation():
         experiment_absorbing(full, [1.0], t_star=0.0)
 
 
-def test_worker_cap_respected(monkeypatch):
-    monkeypatch.setenv("RAFTSIM_THREADS", "1")
-    cfg = h.parse_config(TINY_REDUCED)
-    rep = experiment_absorbing(cfg, [1.0, 2.0], t_star=0.0)
-    assert [row["scale"] for row in rep["rows"]] == [1.0, 2.0]
+TINY_EQUILIBRIUM = (TINY_FULL.replace("kind = cutoff_reaction", "kind = equilibrium")
+                    .replace("b1 = 1.0", "a0 = 1.0").replace("b2 = 1.0", "alpha = 2.0")
+                    .replace("h0 = 4.0", ""))
+
+
+def _absorbing_members(report):
+    rows = report["rows"]
+    assert [row["scale"] for row in rows] == [3.0, 1.0, 2.0]
+    return [row["initial_norm_sq"] for row in rows]
+
+
+@pytest.mark.parametrize("experiment, member, expected", [
+    pytest.param(
+        lambda: experiment_large_d(h.parse_config(TINY_FULL), [50.0, 20.0]),
+        lambda state, params, traj: (params.D if isinstance(state, rs.FullState)
+                                     else "reduced"),
+        lambda report: [20.0, 50.0, "reduced"], id="large_d"),
+    pytest.param(
+        lambda: experiment_kappa_refinement(h.parse_config(TINY_REDUCED),
+                                            [1e-3, 1e-2]),
+        lambda state, params, traj: params.potential.kappa,
+        lambda report: [0.0, 1e-3, 1e-2], id="kappa"),
+    pytest.param(
+        lambda: experiment_equilibrium_convergence(h.parse_config(TINY_EQUILIBRIUM)),
+        lambda state, params, traj: type(state).__name__,
+        lambda report: ["FullState"], id="equilibrium"),
+    pytest.param(
+        lambda: experiment_absorbing(h.parse_config(TINY_REDUCED), [3.0, 1.0, 2.0],
+                                     t_star=0.0),
+        lambda state, params, traj: (traj.records[0].phi_h1_sq
+                                     + traj.records[0].v_l2_sq),
+        _absorbing_members, id="absorbing"),
+])
+def test_sweep_members_run_in_order_on_calling_thread(monkeypatch, experiment,
+                                                      member, expected):
+    # every member goes through the module binding experiments.run (which
+    # the benchmark replaces to count members), in parameter order, on the
+    # caller's thread
+    calls = []
+
+    def recorder(state, params, stepper, schedule, **kwargs):
+        traj = rs.run(state, params, stepper, schedule, **kwargs)
+        calls.append((member(state, params, traj), threading.get_ident()))
+        return traj
+
+    monkeypatch.setattr(experiments, "run", recorder)
+    report = experiment()
+    assert [label for label, _ in calls] == expected(report)
+    assert [thread for _, thread in calls] == [threading.get_ident()] * len(calls)
 
 
 def test_run_keep_fields():
