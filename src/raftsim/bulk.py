@@ -97,7 +97,11 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     """Integral of |grad f|^2 over the disk.
 
     Radial derivative by centered differences (second-order one-sided at the
-    innermost/outermost rings), angular derivative spectrally.
+    innermost/outermost rings), angular derivative spectrally: its square
+    summed over each ring comes from the forward transform by Parseval,
+    sum_j (du/dtheta)_j^2 = (2/ntheta) sum_{0<k<ntheta/2} k^2 |u_k|^2.  The
+    Nyquist mode carries no derivative (i k u_k is imaginary there, and a
+    real field's inverse transform drops it).
     """
     g = f.grid
     u = f.values
@@ -105,10 +109,10 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     du_dr[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * g.dr)
     du_dr[0, :] = (-1.5 * u[0, :] + 2.0 * u[1, :] - 0.5 * u[2, :]) / g.dr
     du_dr[-1, :] = (1.5 * u[-1, :] - 2.0 * u[-2, :] + 0.5 * u[-3, :]) / g.dr
-    uh = _fft.rfft(u, axis=1)
-    du_dt = _fft.irfft(1j * g.modes[None, :] * uh, n=g.ntheta, axis=1)
-    integrand = du_dr**2 + (du_dt / g.radii[:, None]) ** 2
-    return float(np.sum(integrand * g.cell_weight[:, None]))
+    uh = _fft.rfft(u, axis=1)[:, 1:-1]
+    ring_sq = (2.0 / g.ntheta) * ((uh.real**2 + uh.imag**2) @ g.modes[1:-1]**2)
+    return float(np.sum(du_dr**2 * g.cell_weight[:, None])
+                 + np.sum(ring_sq * g.cell_weight / g.radii**2))
 
 
 @lru_cache(maxsize=16)

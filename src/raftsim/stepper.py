@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .bulk import bulk_grad_norm_sq, bulk_mean, diffusion_step, trace_boundary
@@ -114,9 +115,10 @@ class Trajectory:
 @lru_cache(maxsize=16)
 def _step_operators(grid, delta, dt, dealias):
     """The dt-dependent operators of one surface step, built once per
-    (grid, delta, dt, dealias): the symbols b, c, the Schur symbol and b/c,
-    fft(1), and on dense circles the Schur circulant and dt * Laplacian
-    (None elsewhere).
+    (grid, delta, dt, dealias): the symbols b, c, the Schur symbol S and
+    b/c, fft(1), and on dense circles the circulant G of S/k^2 (zero mode 1)
+    and the symbol h = 1/k^2 (zero mode 0) of _solve_surface's symmetrized
+    system (None elsewhere).
 
     The cache is bounded (dt halving adds a few keys per run).  Every run
     with the same key shares its arrays, including a library caller's runs
@@ -128,12 +130,17 @@ def _step_operators(grid, delta, dt, dealias):
     c_sym = 1.0 + (4.0 * dt / delta) * ksq
     schur_sym = c1 - b_sym**2 / c_sym
     # at max|phi| ~ 0.9997 GMRES fails (32, 64 nodes) or needs thousands of
-    # iterations (128); the n x n LU takes about 0.15 ms at 128 nodes
-    dense = grid.kind == "circle" and grid.node_count <= 512 and not dealias
+    # iterations (128); the n x n Cholesky solve takes about 0.16 ms at 128
+    # nodes and 3.6 ms at 512
+    g_mat = h_sym = None
+    if grid.kind == "circle" and grid.node_count <= 512 and not dealias:
+        h_sym = np.zeros_like(ksq)
+        h_sym[1:] = 1.0 / ksq[1:]
+        g_sym = schur_sym * h_sym
+        g_sym[0] = 1.0
+        g_mat = grid.circulant(g_sym)
     ops = (b_sym, c_sym, schur_sym, b_sym / c_sym,
-           grid.fft(np.ones(grid.shape)),
-           grid.circulant(schur_sym) if dense else None,
-           dt * grid.laplacian_matrix() if dense else None)
+           grid.fft(np.ones(grid.shape)), g_mat, h_sym)
     for arr in ops:
         if arr is not None:
             arr.setflags(write=False)
@@ -144,20 +151,26 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     """Solve the implicit surface update; returns (phi', v', newton_iters).
 
     Unknowns are advanced from (phi_n, v_n) with the frozen source q_vals.
-    Each Newton direction solves the Schur complement in phi, with v
-    eliminated mode by mode: by dense LU on circles of up to 512 nodes,
-    otherwise by GMRES preconditioned with the midpoint constant-coefficient
-    symbol.  Near the pure states F'' spans orders of magnitude and that
-    GMRES breaks down, which the dense path avoids.  The iterate is carried
-    in Fourier space (phi also at the nodes, for F' and the damping), so a
-    residual transforms only F'(phi).
+    Each Newton direction solves the Schur complement
+    (S + dt K M) dphi = r in phi, with v eliminated mode by mode; K = -lap,
+    M = diag(F''(phi)) of the convex part.  On circles of up to 512 nodes
+    the zero mode is taken directly (dphi_0 = mean r, as S_0 = 1) and the
+    mean-free rest d' from the symmetrized system
+    (G + dt P M P) d' = K^+ r - dt dphi_0 P m, with G = K^+ S (zero mode 1)
+    and P the mean-free projector, by dense Cholesky: F'' >= 0 makes it SPD,
+    and a failed factorization raises NewtonDivergenceError.  Elsewhere
+    GMRES solves the system, preconditioned with the midpoint
+    constant-coefficient symbol.  Near the pure states F'' spans orders of
+    magnitude and that GMRES breaks down, which the dense path avoids.  The
+    iterate is carried in Fourier space (phi also at the nodes, for F' and
+    the damping), so a residual transforms only F'(phi).
     """
     fft, ifft = grid.fft, grid.ifft
     ksq = -grid.lap_symbol
     theta0 = potential.split_coefficient
     singular = potential.kind == LOGARITHMIC
     mask = grid.dealias if cfg.dealias else None
-    b_sym, c_sym, schur_sym, b_over_c, one_h, schur, dt_lap = _step_operators(
+    b_sym, c_sym, schur_sym, b_over_c, one_h, g_mat, h_sym = _step_operators(
         grid, delta, dt, cfg.dealias)
 
     phin_h = fft(phi_n)
@@ -196,8 +209,27 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
 
         fpp = np.asarray(potential.convex_second(phi))
         rhs_h = -r1_h + b_over_c * r2_h
-        if schur is not None:
-            dphi = np.linalg.solve(schur - dt_lap * fpp, ifft(rhs_h))
+        if g_mat is not None:
+            n = fpp.size
+            m_c = fpp - np.mean(fpp)
+            # G + dt P M P in one buffer, with the rank-2 update
+            # P M P - M = -(m 1' + 1 m' - mean(m) 1 1') / n
+            mat = np.add.outer((-dt / n) * fpp, (-dt / n) * m_c)
+            mat += g_mat
+            diag = mat.reshape(-1)[::n + 1]
+            diag += dt * fpp
+            d0 = rhs_h[0].real / n
+            rhs = ifft(h_sym * rhs_h) - (dt * d0) * m_c
+            # mat is symmetric (dposv reads one triangle), so its transpose
+            # is an F-ordered matrix that LAPACK factors without a copy
+            _, dphi, info = dposv(mat.T, rhs, overwrite_a=True,
+                                  overwrite_b=True)
+            if info != 0:
+                raise NewtonDivergenceError(
+                    f"Newton matrix not positive definite (info={info}, "
+                    f"dt={dt:g})"
+                )
+            dphi += d0
             dphi_h = fft(dphi)
         else:
             cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))

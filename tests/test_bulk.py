@@ -63,6 +63,26 @@ def test_grad_norms(disk):
         pytest.approx(2.0 * np.pi, rel=1e-3)
 
 
+def test_grad_norm_matches_inverse_transform():
+    # the angular term by Parseval against the derivative taken through an
+    # inverse transform, on random fields whose Nyquist modes are not small
+    rng = np.random.default_rng(12)
+    for nr, ntheta in ((4, 8), (24, 64), (64, 128)):
+        g = rs.DiskGrid(nr, ntheta)
+        for _ in range(4):
+            u = rng.standard_normal((nr, ntheta))
+            du_dr = np.empty_like(u)
+            du_dr[1:-1] = (u[2:] - u[:-2]) / (2.0 * g.dr)
+            du_dr[0] = (-1.5 * u[0] + 2.0 * u[1] - 0.5 * u[2]) / g.dr
+            du_dr[-1] = (1.5 * u[-1] - 2.0 * u[-2] + 0.5 * u[-3]) / g.dr
+            du_dt = sp_fft.irfft(1j * g.modes * sp_fft.rfft(u, axis=1),
+                                 n=ntheta, axis=1)
+            ref = np.sum((du_dr**2 + (du_dt / g.radii[:, None]) ** 2)
+                         * g.cell_weight[:, None])
+            assert rs.bulk_grad_norm_sq(rs.BulkField(g, u)) == \
+                pytest.approx(ref, rel=1e-13)
+
+
 def test_diffusion_constant_steady(disk):
     u = rs.BulkField.constant(disk, 3.0)
     q = rs.SurfaceField.constant(disk.boundary, 0.0)

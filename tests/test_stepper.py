@@ -165,7 +165,8 @@ def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
                             cfg):
     """Damped Newton on the full 2n x 2n block Jacobian in physical space
     (dense Laplacian, the 2/3 mask as a dense projector when dealiasing, no
-    Schur elimination), as (phi, v, iters)."""
+    Schur elimination), as (phi, v, iters).  As in the stepper, damping
+    keeps only the singular well's iterates inside (-1, 1)."""
     n = grid.node_count
     lap = _dense_multiplier(grid, grid.lap_symbol)
     eye = np.eye(n)
@@ -174,6 +175,7 @@ def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
     j11 = eye + dt * (lap @ lap) - (dt / delta) * lap
     j12 = (2.0 * dt / delta) * lap
     j22 = eye - (4.0 * dt / delta) * lap
+    singular = potential.kind == "logarithmic"
     phi_n, v_n, q_vals = phi_n.ravel(), v_n.ravel(), q_vals.ravel()
     phi, v = phi_n.copy(), v_n.copy()
     for iteration in range(cfg.newton_max_iters + 1):
@@ -190,26 +192,43 @@ def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
         step = np.linalg.solve(jac, -np.concatenate([r1, r2]))
         alpha = 1.0
         limit = max(1.0 - stepper_mod.SEPARATION_MARGIN, np.max(np.abs(phi)))
-        while np.max(np.abs(phi + alpha * step[:n])) > limit:
+        while singular and np.max(np.abs(phi + alpha * step[:n])) > limit:
             alpha *= cfg.damping
         phi = phi + alpha * step[:n]
         v = v + alpha * step[n:]
     raise AssertionError("reference Newton did not converge")
 
 
-def _kappa_circle_case():
+def _kappa_circle_case(n=128, kappa=0.0):
     # the kappa-sweep setup run to t = 2, where phi presses against +-1
-    grid = rs.SurfaceGrid.circle(128)
-    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=4.5),
+    grid = rs.SurfaceGrid.circle(n)
+    potential = rs.DoubleWell(theta=1.0, theta0=4.5)
+    if kappa:
+        potential = potential.regularized(kappa)
+    params = rs.Params(potential=potential,
                        exchange=rs.ReactionExchange(b1=0.2, b2=0.2))
     cfg = rs.StepperConfig(dt=1e-2)
     st = reduced_state(grid, seed=21, amplitude=0.5, cutoff=4)
     st = rs.run(st, params, cfg, rs.Schedule(t_final=2.0,
                                              sample_stride=10**6)).final_state
-    assert np.max(np.abs(st.phi.values)) >= 0.999
+    assert np.max(np.abs(st.phi.values)) >= (1.0 if kappa else 0.999)
     eta = rs.chem_eta(st.phi, st.v, params.delta)
     q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
     return st, params, cfg, q
+
+
+def _regularized_circle_case():
+    # the sweep's kappa = 1e-2 member: phi leaves [-1, 1], where F'' is
+    # clamped to its value at 1 - kappa
+    return _kappa_circle_case(kappa=1e-2)
+
+
+def _circle512_case():
+    # the largest circle that takes the dense branch.  There the reference's
+    # nodal residual stalls near 2e-9 (dt k^4 ~ 4e7 times round-off), so
+    # both solves stop at 2e-8: after two iterations, from 8e-6 and 2e-7
+    st, params, cfg, q = _kappa_circle_case(n=512)
+    return st, params, replace(cfg, newton_tol=2e-8), q
 
 
 def _full_disk_case():
@@ -246,7 +265,8 @@ def _assert_matches_block_reference(st, params, cfg, q):
         assert np.max(np.abs(v - v_ref)) <= 1e-12
 
 
-@pytest.mark.parametrize("case", [_kappa_circle_case, _full_disk_case])
+@pytest.mark.parametrize("case", [_kappa_circle_case, _regularized_circle_case,
+                                  _circle512_case, _full_disk_case])
 def test_dense_schur_newton_matches_block_reference(case):
     _assert_matches_block_reference(*case())
 
@@ -438,6 +458,38 @@ def test_dt_underflow_and_fallback(monkeypatch):
                                   "newton_iters": 0})
     assert info.value.t == st.t
     assert info.value.state is st
+
+
+def test_indefinite_newton_matrix_halves_dt(monkeypatch):
+    # F'' < 0 makes the dense Newton matrix indefinite: the Cholesky solve
+    # must fail as a NewtonDivergenceError, which dt halving and then the
+    # regularized fallback handle before the run ends in DtUnderflowError
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.ReactionExchange())
+    st = reduced_state(CIRCLE, seed=13, amplitude=0.2)
+    cfg = rs.StepperConfig(dt=4e-3, dt_min=1e-3)
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    monkeypatch.setattr(rs.DoubleWell, "convex_second",
+                        lambda self, r: np.full(np.shape(r), -1e8))
+    with pytest.raises(rs.NewtonDivergenceError, match="positive definite"):
+        stepper_mod._solve_surface(CIRCLE, params.potential, params.delta,
+                                   cfg.dt, st.phi.values, st.v.values,
+                                   q.values, cfg)
+
+    original = stepper_mod._solve_surface
+    dts = []
+
+    def recorded(grid, potential, delta, dt, *rest):
+        dts.append(dt)
+        return original(grid, potential, delta, dt, *rest)
+
+    monkeypatch.setattr(stepper_mod, "_solve_surface", recorded)
+    with pytest.warns(RuntimeWarning):
+        with pytest.raises(rs.DtUnderflowError) as info:
+            rs.run(st, params, cfg, rs.Schedule(t_final=cfg.dt))
+    assert dts == [4e-3, 2e-3, 1e-3, 1e-3]   # two halvings, then the fallback
+    assert info.value.step_index == 1
 
 
 def test_kappa_fallback_used(monkeypatch):
