@@ -417,6 +417,13 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if init is not None and init.kind == "constant" and abs(init.phi_mean) > 1:
         errors.append((None, "initial phi_mean must lie in [-1, 1]"))
     stepper, schedule = built["stepper"], built["schedule"]
+    well = built["potential"]
+    if (stepper is not None and well is not None and well.kind == LOGARITHMIC
+            and not 0.0 < stepper.kappa_fallback < well.r0):
+        # the fallback builds well.regularized(kappa_fallback) mid-run
+        errors.append((line_of("stepper", "kappa_fallback"),
+                       f"stepper.kappa_fallback must lie in (0, potential.r0 "
+                       f"= {well.r0!r}), got {stepper.kappa_fallback!r}"))
     if stepper is not None and schedule is not None:
         t_final = schedule.t_final
         steps = t_final / stepper.dt

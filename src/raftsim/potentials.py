@@ -27,6 +27,10 @@ REGULARIZED = "regularized"
 
 _KINDS = (LOGARITHMIC, POLYNOMIAL, REGULARIZED)
 
+# Iterates on the logarithmic well keep max|r| <= 1 - this, clear of the
+# singular points where F' and F'' blow up.
+SEPARATION_MARGIN = 1e-13
+
 
 class PotentialDomainError(ValueError):
     """Argument outside the well's admissible interval."""

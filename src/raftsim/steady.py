@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .potentials import DoubleWell, LOGARITHMIC
-from .surface import SurfaceField, SurfaceGrid
-
-_MARGIN = 1e-13
+from .potentials import DoubleWell, LOGARITHMIC, SEPARATION_MARGIN
+from .surface import SurfaceField, SurfaceGrid, mean_free_matrix
 
 
 class NonConvergenceError(RuntimeError):
@@ -52,18 +50,15 @@ def _step_solver(grid):
     ksq = -grid.lap_symbol
     kinv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
-    if grid.kind == "circle" and grid.node_count <= 512:
-        n = grid.node_count
+    if grid.solves_densely:
+        # ksq_mat's zero mode 1 keeps the system nonsingular; W'' is
+        # indefinite, so LU, not Cholesky
         kinv_mat = grid.circulant(kinv)
-        k_mat = -grid.laplacian_matrix()
-        avg = np.full((n, n), 1.0 / n)
-        proj = np.eye(n) - avg
+        ksq_mat = grid.circulant(np.where(ksq > 0, ksq, 1.0))
 
         def solve(wpp, rhs, dt):
-            jac = kinv_mat / dt + k_mat + np.diag(wpp)
-            # restrict to the mean-free slice; the complement is padded to
-            # keep the system nonsingular
-            return np.linalg.solve(proj @ jac @ proj + avg, rhs)
+            return np.linalg.solve(mean_free_matrix(kinv_mat / dt + ksq_mat, wpp),
+                                   rhs)
         return solve
 
     fft, ifft = grid.fft, grid.ifft
@@ -116,8 +111,9 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     Pseudo-transient continuation (Kelley & Keyes 1998) along the
     conservative H^-1 gradient flow of the energy: each step solves
     (K^-1/dt + J) delta = -F once on the mean-m slice, with K = -lap,
-    J = -lap + W''(phi) and F the steady residual field; densely on circles
-    up to 512 nodes, by GMRES otherwise.  dt starts at 0.05 and follows
+    J = -lap + W''(phi) and F the steady residual field; by a dense LU of
+    the stepper's mean-free assembly (surface.mean_free_matrix) where the
+    grid solves densely, by GMRES otherwise.  dt starts at 0.05 and follows
     switched evolution relaxation, dt <- dt ||F_old|| / ||F_new||, with the
     factor clamped to [1.2, 10], so the loop turns into Newton's method near
     a root.  A step is taken only if it descends the energy
@@ -134,7 +130,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
         raise ValueError("initial guess lives on a different grid")
     phi = init.values - grid.mean(init.values) + m
     singular = potential.kind == LOGARITHMIC
-    if singular and np.max(np.abs(phi)) > 1.0 - _MARGIN:
+    if singular and np.max(np.abs(phi)) > 1.0 - SEPARATION_MARGIN:
         raise ValueError("initial guess must satisfy max|phi| < 1")
 
     init_vals = phi.copy()
@@ -152,7 +148,8 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
                 dt *= 0.5  # not a descent direction of the energy
                 continue
             alpha = 1.0
-            while singular and np.max(np.abs(phi + alpha * dphi)) > 1.0 - _MARGIN:
+            while (singular and np.max(np.abs(phi + alpha * dphi))
+                   > 1.0 - SEPARATION_MARGIN):
                 alpha *= 0.5
             cand = phi + alpha * dphi
             cand_field = _residual_field(grid, potential, cand)

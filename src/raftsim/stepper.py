@@ -40,10 +40,8 @@ from .model import (
     reduced_u_from_mass,
     separation_margin,
 )
-from .potentials import LOGARITHMIC
-from .surface import SurfaceField, surface_integral
-
-SEPARATION_MARGIN = 1e-13  # Newton iterates keep max|phi| <= 1 - this
+from .potentials import LOGARITHMIC, SEPARATION_MARGIN
+from .surface import SurfaceField, mean_free_matrix, surface_integral
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -78,6 +76,8 @@ class StepperConfig:
             raise ValueError("tolerances must be positive")
         if not 0.0 < self.damping < 1.0:
             raise ValueError("damping factor must lie in (0, 1)")
+        if self.dt_min is not None and self.dt_min <= 0.0:
+            raise ValueError("dt_min must be positive")
         if self.dt_min is not None and self.dt_min > self.dt:
             raise ValueError("dt_min cannot exceed dt")
 
@@ -129,11 +129,8 @@ def _step_operators(grid, delta, dt, dealias):
     b_sym = -(2.0 * dt / delta) * ksq
     c_sym = 1.0 + (4.0 * dt / delta) * ksq
     schur_sym = c1 - b_sym**2 / c_sym
-    # at max|phi| ~ 0.9997 GMRES fails (32, 64 nodes) or needs thousands of
-    # iterations (128); the n x n Cholesky solve takes about 0.16 ms at 128
-    # nodes and 3.6 ms at 512
     g_mat = h_sym = None
-    if grid.kind == "circle" and grid.node_count <= 512 and not dealias:
+    if grid.solves_densely and not dealias:
         h_sym = np.zeros_like(ksq)
         h_sym[1:] = 1.0 / ksq[1:]
         g_sym = schur_sym * h_sym
@@ -153,11 +150,12 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     Unknowns are advanced from (phi_n, v_n) with the frozen source q_vals.
     Each Newton direction solves the Schur complement
     (S + dt K M) dphi = r in phi, with v eliminated mode by mode; K = -lap,
-    M = diag(F''(phi)) of the convex part.  On circles of up to 512 nodes
-    the zero mode is taken directly (dphi_0 = mean r, as S_0 = 1) and the
-    mean-free rest d' from the symmetrized system
-    (G + dt P M P) d' = K^+ r - dt dphi_0 P m, with G = K^+ S (zero mode 1)
-    and P the mean-free projector, by dense Cholesky: F'' >= 0 makes it SPD,
+    M = diag(F''(phi)) of the convex part.  On grids that solve densely
+    (SurfaceGrid.solves_densely) the zero mode is taken directly
+    (dphi_0 = mean r, as S_0 = 1) and the mean-free rest d' from the
+    symmetrized system (G + dt P M P) d' = K^+ r - dt dphi_0 P m, with
+    G = K^+ S (zero mode 1) and P the mean-free projector
+    (surface.mean_free_matrix), by dense Cholesky: F'' >= 0 makes it SPD,
     and a failed factorization raises NewtonDivergenceError.  Elsewhere
     GMRES solves the system, preconditioned with the midpoint
     constant-coefficient symbol.  Near the pure states F'' spans orders of
@@ -210,16 +208,9 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         fpp = np.asarray(potential.convex_second(phi))
         rhs_h = -r1_h + b_over_c * r2_h
         if g_mat is not None:
-            n = fpp.size
-            m_c = fpp - np.mean(fpp)
-            # G + dt P M P in one buffer, with the rank-2 update
-            # P M P - M = -(m 1' + 1 m' - mean(m) 1 1') / n
-            mat = np.add.outer((-dt / n) * fpp, (-dt / n) * m_c)
-            mat += g_mat
-            diag = mat.reshape(-1)[::n + 1]
-            diag += dt * fpp
-            d0 = rhs_h[0].real / n
-            rhs = ifft(h_sym * rhs_h) - (dt * d0) * m_c
+            mat = mean_free_matrix(g_mat, fpp, dt)
+            d0 = rhs_h[0].real / fpp.size
+            rhs = ifft(h_sym * rhs_h) - (dt * d0) * (fpp - fpp.sum() / fpp.size)
             # mat is symmetric (dposv reads one triangle), so its transpose
             # is an F-ordered matrix that LAPACK factors without a copy
             _, dphi, info = dposv(mat.T, rhs, overwrite_a=True,

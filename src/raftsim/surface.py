@@ -76,7 +76,6 @@ class SurfaceGrid:
         self._dealias = self._dealias_mask()
         for arr in (self._ksq, self._parseval, self._inv_ksq, self._dealias):
             arr.setflags(write=False)
-        self._lap_matrix = None
 
     @classmethod
     def circle(cls, n: int) -> "SurfaceGrid":
@@ -135,17 +134,12 @@ class SurfaceGrid:
         basis_h = _fft.rfft(np.eye(n), axis=0)
         return _fft.irfft(symbol[:, None] * basis_h, n=n, axis=0)
 
-    def laplacian_matrix(self):
-        """Dense physical-space Laplacian (circle grids only, cached).
-
-        Small 1-D problems solve implicit systems directly with it instead of
-        iterating; the matrix is the exact spectral operator.
-        """
-        if self._lap_matrix is None:
-            mat = self.circulant(self.lap_symbol)
-            mat.setflags(write=False)
-            self._lap_matrix = mat
-        return self._lap_matrix
+    @property
+    def solves_densely(self):
+        """True on circles small enough to solve implicit systems densely:
+        near the pure states GMRES fails there (32, 64 nodes) or needs
+        thousands of iterations (128)."""
+        return self.kind == CIRCLE and self.node_count <= 512
 
     @property
     def dealias(self):
@@ -241,6 +235,19 @@ class SurfaceField:
 
     def copy(self):
         return SurfaceField(self.grid, self.values.copy())
+
+
+def mean_free_matrix(g_mat, m, scale=1.0):
+    """G + scale P diag(m) P in a fresh buffer, with G = g_mat and P the
+    mean-free projector; P M P enters as M plus the rank-2 update
+    -(m 1' + 1 (m - mean(m))') / n, so no n^3 product is formed."""
+    n = m.size
+    # m.sum() / n equals np.mean(m) bit for bit at a fifth of its overhead
+    mat = np.add.outer((-scale / n) * m, (-scale / n) * (m - m.sum() / n))
+    mat += g_mat
+    diag = mat.reshape(-1)[::n + 1]
+    diag += scale * m
+    return mat
 
 
 # -- field-level operations ---------------------------------------------------

@@ -85,6 +85,15 @@ TORUS = "[geometry]\nkind = torus\nnx = 16\nny = 16\n"
      "bad value for experiment.d_list: '10, nan'"),
     ("[stepper]\nnewton_max_iters = -1",
      "stepper.newton_max_iters must be >= 0"),
+    # dt halving never reaches a floor of 0 or below
+    ("[stepper]\ndt_min = 0", "invalid stepper config: dt_min must be positive"),
+    ("[stepper]\ndt_min = -1",
+     "invalid stepper config: dt_min must be positive"),
+    # the regularized fallback well needs 0 < kappa < r0
+    ("[stepper]\nkappa_fallback = 0.9",
+     "stepper.kappa_fallback must lie in (0, potential.r0 = 0.5), got 0.9"),
+    ("[stepper]\nkappa_fallback = -1",
+     "stepper.kappa_fallback must lie in (0, potential.r0 = 0.5), got -1.0"),
     # geometry sizes
     ("[geometry]\nnr = 2", "geometry.nr must be >= 4"),
     (TORUS + "lx = 0", "geometry.lx must be positive"),
@@ -103,7 +112,9 @@ def test_rejects_values_that_cannot_run(tmp_path, capsys, extra, message):
                  "--out", str(tmp_path / "o")])
     assert code == 2
     line = len(text.splitlines())  # the offending key is the last line
-    assert f"line {line}: {message}" in capsys.readouterr().err
+    # a section constructor's errors carry no line
+    where = "" if message.startswith("invalid ") else f"line {line}: "
+    assert where + message in capsys.readouterr().err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

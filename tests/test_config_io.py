@@ -103,7 +103,8 @@ def config_documents(draw):
     put("stepper", "damping", draw(_floats(0.01, 0.99)))
     put("stepper", "dealias", draw(st.sampled_from(["true", "false"])))
     put("stepper", "gmres_tol", draw(_floats(1e-14, 1e-2)))
-    put("stepper", "kappa_fallback", draw(_floats(1e-8, 0.4)))
+    # below the smallest r0 drawn, as the logarithmic well's fallback needs
+    put("stepper", "kappa_fallback", draw(_floats(1e-8, 0.04)))
 
     initial = draw(st.sampled_from(sorted(config._KINDS["initial"][1])))
     name = st.text("abcxyz019_./-", min_size=1, max_size=12)

@@ -5,6 +5,7 @@ from scipy.linalg import null_space
 import raftsim as rs
 import raftsim.harness as h
 from conftest import lowpass_field
+from raftsim.steady import _step_solver
 
 CIRCLE = rs.SurfaceGrid.circle(64)
 POT = rs.DoubleWell(theta=1.0, theta0=2.5)
@@ -36,8 +37,40 @@ def smallest_hessian_eigenvalue(phi, potential):
     """lambda_min of -lap + W''(phi) on the mean-free slice (circle grids)."""
     grid = phi.grid
     basis = null_space(np.ones((1, grid.node_count)))
-    hess = -grid.laplacian_matrix() + np.diag(potential.second(phi.values))
+    hess = -grid.circulant(grid.lap_symbol) + np.diag(potential.second(phi.values))
     return np.linalg.eigvalsh(basis.T @ hess @ basis)[0]
+
+
+def projected_ptc_matrix(grid, wpp, dt):
+    """P (K^-1/dt + K + diag W'') P + 11'/n with K = -lap and P the
+    mean-free projector, formed by two dense products."""
+    n = grid.node_count
+    ksq = -grid.lap_symbol
+    kinv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+    avg = np.full((n, n), 1.0 / n)
+    proj = np.eye(n) - avg
+    jac = grid.circulant(kinv) / dt + grid.circulant(ksq) + np.diag(wpp)
+    return proj @ jac @ proj + avg
+
+
+@pytest.mark.parametrize("n", [32, 128, 512])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+# dt = 10 is past the k = 1 stability limit 1/(|W''| - 1) of W'' < -1.25
+@pytest.mark.parametrize("dt", [0.1, 10.0])
+def test_dense_step_matches_projected_matrix(n, sign, dt):
+    grid = rs.SurfaceGrid.circle(n)
+    rng = np.random.default_rng(n)
+    wpp = sign * rng.uniform(1.25, 1.75, n)
+    rhs = rng.standard_normal(n)
+    rhs -= np.mean(rhs)
+    got = _step_solver(grid)(wpp, rhs, dt)
+    mat = projected_ptc_matrix(grid, wpp, dt)
+    # normwise backward error in the projected matrix; the forward gap to
+    # np.linalg.solve(mat, rhs) is round-off times cond(mat), up to 1.6e5
+    # at 512 nodes
+    backward = (np.linalg.norm(mat @ got - rhs)
+                / (np.linalg.norm(mat, 2) * np.linalg.norm(got)))
+    assert backward <= 1e-13
 
 
 def test_constant_guess_returns_constant():

@@ -544,6 +544,9 @@ def test_config_validation():
         rs.StepperConfig(dt=1e-3, damping=1.5)
     with pytest.raises(ValueError):
         rs.StepperConfig(dt=1e-3, dt_min=2e-3)
+    for dt_min in (0.0, -1.0):  # the halving would never reach the floor
+        with pytest.raises(ValueError, match="dt_min must be positive"):
+            rs.StepperConfig(dt=1e-3, dt_min=dt_min)
     with pytest.raises(ValueError):
         rs.Schedule(t_final=-1.0)
     cfg = rs.StepperConfig(dt=1.0)

@@ -152,8 +152,15 @@ def test_field_wrappers(circle):
         pytest.approx(2 * np.pi, rel=1e-14)
 
 
-def test_dense_laplacian_matches_operator(circle):
+@pytest.mark.parametrize("operator", ["laplacian", "inverse_laplacian"])
+def test_circulant_matches_operator(circle, operator):
     rng = np.random.default_rng(5)
     f = rng.standard_normal(circle.shape)
-    mat = circle.laplacian_matrix()
-    assert np.max(np.abs(mat @ f - circle.laplacian(f))) <= 1e-11
+    if operator == "laplacian":
+        mat, want = circle.circulant(circle.lap_symbol), circle.laplacian(f)
+    else:
+        f -= circle.mean(f)
+        ksq = -circle.lap_symbol
+        inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
+        mat, want = circle.circulant(inv), -circle.inverse_laplacian(f)
+    assert np.max(np.abs(mat @ f - want)) <= 1e-11
