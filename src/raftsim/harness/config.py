@@ -180,8 +180,7 @@ _SCHEMA = {
                  "b1": float, "b2": float, "h0": float},
     "params": {"diffusion": float, "delta": float, "omega_measure": float},
     "stepper": {"dt": float, "newton_tol": float, "newton_max_iters": int,
-                "dt_min": float, "damping": float, "dealias": bool,
-                "gmres_tol": float, "kappa_fallback": float},
+                "dt_min": float, "kappa_fallback": float},
     "initial": {"kind": str, "phi_mean": float, "amplitude": float,
                 "v_amplitude": float, "cutoff": int, "seed": int,
                 "v0": float, "u0": float, "path": str},
@@ -315,13 +314,6 @@ def _tokenize(text, errors):
 def _convert(raw, typ):
     if typ is str:
         return raw
-    if typ is bool:
-        low = raw.lower()
-        if low in ("true", "yes", "on", "1"):
-            return True
-        if low in ("false", "no", "off", "0"):
-            return False
-        raise ValueError(f"expected a boolean, got {raw!r}")
     if typ is int:
         return int(raw)
     if typ == "floats":
@@ -443,8 +435,6 @@ def parse_config(text: str, overrides=()) -> RunConfig:
 # -- serialization ----------------------------------------------------------------
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -64,18 +64,13 @@ class StepperConfig:
     newton_tol: float = 1e-10
     newton_max_iters: int = 50
     dt_min: float | None = None          # defaults to dt / 1024
-    damping: float = 0.5
-    dealias: bool = False
-    gmres_tol: float = 1e-12
     kappa_fallback: float = 1e-5
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.newton_tol <= 0.0 or self.gmres_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if not 0.0 < self.damping < 1.0:
-            raise ValueError("damping factor must lie in (0, 1)")
+        if self.newton_tol <= 0.0:
+            raise ValueError("newton_tol must be positive")
         if self.dt_min is not None and self.dt_min <= 0.0:
             raise ValueError("dt_min must be positive")
         if self.dt_min is not None and self.dt_min > self.dt:
@@ -113,10 +108,10 @@ class Trajectory:
 # -- implicit surface solve ---------------------------------------------------
 
 @lru_cache(maxsize=16)
-def _step_operators(grid, delta, dt, dealias):
+def _step_operators(grid, delta, dt):
     """The dt-dependent operators of one surface step, built once per
-    (grid, delta, dt, dealias): the symbols b, c, the Schur symbol S and
-    b/c, fft(1), and on dense circles the circulant G of S/k^2 (zero mode 1)
+    (grid, delta, dt): the symbols b, c, the Schur symbol S and b/c, fft(1),
+    and on grids that solve densely the circulant G of S/k^2 (zero mode 1)
     and the symbol h = 1/k^2 (zero mode 0) of _solve_surface's symmetrized
     system (None elsewhere).
 
@@ -130,7 +125,7 @@ def _step_operators(grid, delta, dt, dealias):
     c_sym = 1.0 + (4.0 * dt / delta) * ksq
     schur_sym = c1 - b_sym**2 / c_sym
     g_mat = h_sym = None
-    if grid.solves_densely and not dealias:
+    if grid.solves_densely:
         h_sym = np.zeros_like(ksq)
         h_sym[1:] = 1.0 / ksq[1:]
         g_sym = schur_sym * h_sym
@@ -151,31 +146,28 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     Each Newton direction solves the Schur complement
     (S + dt K M) dphi = r in phi, with v eliminated mode by mode; K = -lap,
     M = diag(F''(phi)) of the convex part.  On grids that solve densely
-    (SurfaceGrid.solves_densely) the zero mode is taken directly
+    (every circle of up to 512 nodes) the zero mode is taken directly
     (dphi_0 = mean r, as S_0 = 1) and the mean-free rest d' from the
     symmetrized system (G + dt P M P) d' = K^+ r - dt dphi_0 P m, with
     G = K^+ S (zero mode 1) and P the mean-free projector
     (surface.mean_free_matrix), by dense Cholesky: F'' >= 0 makes it SPD,
     and a failed factorization raises NewtonDivergenceError.  Elsewhere
-    GMRES solves the system, preconditioned with the midpoint
+    GMRES solves the system to rtol 1e-12, preconditioned with the midpoint
     constant-coefficient symbol.  Near the pure states F'' spans orders of
     magnitude and that GMRES breaks down, which the dense path avoids.  The
     iterate is carried in Fourier space (phi also at the nodes, for F' and
-    the damping), so a residual transforms only F'(phi).
+    the damping by halving), so a residual transforms only F'(phi).
     """
     fft, ifft = grid.fft, grid.ifft
     ksq = -grid.lap_symbol
     theta0 = potential.split_coefficient
     singular = potential.kind == LOGARITHMIC
-    mask = grid.dealias if cfg.dealias else None
     b_sym, c_sym, schur_sym, b_over_c, one_h, g_mat, h_sym = _step_operators(
-        grid, delta, dt, cfg.dealias)
+        grid, delta, dt)
 
     phin_h = fft(phi_n)
     vn_h = fft(v_n)
     q_h = fft(q_vals)
-    if mask is not None:
-        q_h = mask * q_h
 
     two_d = 2.0 / delta
     phi = phi_n.copy()
@@ -184,8 +176,6 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
 
     def residual(phi, phi_h, v_h):
         fp_h = fft(np.asarray(potential.convex_deriv(phi)))
-        if mask is not None:
-            fp_h = mask * fp_h
         eta_h = two_d * (2.0 * v_h - one_h - phi_h)
         mu_h = ksq * phi_h + fp_h - theta0 * phin_h - 0.5 * eta_h
         r1_h = phi_h - phin_h + dt * ksq * mu_h
@@ -224,22 +214,17 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             dphi_h = fft(dphi)
         else:
             cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))
-            precond_sym = schur_sym + dt * ksq * cmid
+            precond = (schur_sym + dt * ksq * cmid).ravel()
 
             def matvec(x):
                 xh = x.reshape(schur_sym.shape)
                 prod_h = fft(fpp * ifft(xh))
-                if mask is not None:
-                    prod_h = mask * prod_h
                 return (schur_sym * xh + dt * ksq * prod_h).ravel()
 
-            def apply_prec(x):
-                return (x.reshape(schur_sym.shape) / precond_sym).ravel()
-
             op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
-            prec = LinearOperator((n_flat, n_flat), matvec=apply_prec,
-                                  dtype=complex)
-            sol, info = gmres(op, rhs_h.ravel(), rtol=cfg.gmres_tol, atol=0.0,
+            prec = LinearOperator((n_flat, n_flat), dtype=complex,
+                                  matvec=lambda x: x / precond)
+            sol, info = gmres(op, rhs_h.ravel(), rtol=1e-12, atol=0.0,
                               restart=60, maxiter=300, M=prec)
             if info != 0:
                 raise NewtonDivergenceError(
@@ -255,7 +240,7 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             # zero-mode pinning may have nudged by one ulp)
             limit = max(1.0 - SEPARATION_MARGIN, float(np.max(np.abs(phi))))
             while np.max(np.abs(phi + alpha * dphi)) > limit:
-                alpha *= cfg.damping
+                alpha *= 0.5
                 if alpha < 1e-12:
                     raise NewtonDivergenceError(
                         f"Newton damping underflow at dt={dt:g} "
@@ -328,9 +313,9 @@ def _step(state, params, cfg, dt, counters=None):
     return step_reduced(state, params, cfg, dt, counters)
 
 
-def _advance(state, params, cfg, dt, counters):
+def _advance(state, params, cfg, dt, counters, fallback):
     """Advance by dt, halving on Newton failure down to dt_floor, then once
-    more with the regularized well before giving up."""
+    more with the regularized `fallback` params (if any) before giving up."""
     try:
         new_state = _step(state, params, cfg, dt, counters)
         counters["substeps"] += 1
@@ -338,16 +323,14 @@ def _advance(state, params, cfg, dt, counters):
     except NewtonDivergenceError as exc:
         half = 0.5 * dt
         if half >= cfg.dt_floor * (1.0 - 1e-12):
-            mid = _advance(state, params, cfg, half, counters)
-            return _advance(mid, params, cfg, half, counters)
-        if params.potential.kind == LOGARITHMIC:
+            mid = _advance(state, params, cfg, half, counters, fallback)
+            return _advance(mid, params, cfg, half, counters, fallback)
+        if fallback is not None:
             warnings.warn(
                 f"falling back to the kappa-regularized well at t={state.t:g} "
                 f"(dt={dt:g})", RuntimeWarning, stacklevel=2)
-            soft = replace(params,
-                           potential=params.potential.regularized(cfg.kappa_fallback))
             try:
-                new_state = _step(state, soft, cfg, dt, counters)
+                new_state = _step(state, fallback, cfg, dt, counters)
             except NewtonDivergenceError as exc2:
                 raise DtUnderflowError(
                     f"step failed at dt_min={cfg.dt_floor:g} even with the "
@@ -430,13 +413,15 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
             f"t_final={schedule.t_final!r} is not an integer multiple of dt={dt!r}"
         )
 
+    fallback = (replace(params, potential=params.potential.regularized(
+        cfg.kappa_fallback)) if params.potential.kind == LOGARITHMIC else None)
     records = [diagnose(initial, params)]
     sampled = [initial.copy()] if schedule.keep_fields else None
     state = initial
     for i in range(1, n_steps + 1):
         counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
         try:
-            state = _advance(state, params, cfg, dt, counters)
+            state = _advance(state, params, cfg, dt, counters, fallback)
         except DtUnderflowError as exc:
             exc.step_index = i
             raise

@@ -73,8 +73,7 @@ class SurfaceGrid:
         nonzero = ksq > 0
         inv[nonzero] = 1.0 / ksq[nonzero]
         self._inv_ksq = inv
-        self._dealias = self._dealias_mask()
-        for arr in (self._ksq, self._parseval, self._inv_ksq, self._dealias):
+        for arr in (self._ksq, self._parseval, self._inv_ksq):
             arr.setflags(write=False)
 
     @classmethod
@@ -87,16 +86,6 @@ class SurfaceGrid:
               ly: float = 2.0 * np.pi) -> "SurfaceGrid":
         """Flat torus of side lengths (lx, ly) with nx*ny nodes."""
         return cls(TORUS, (nx, ny), (lx, ly))
-
-    def _dealias_mask(self):
-        if self.kind == CIRCLE:
-            n = self.shape[0]
-            k = np.arange(n // 2 + 1)
-            return (k <= n // 3).astype(float)
-        nx, ny = self.shape
-        kx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-        ky = np.abs(np.fft.rfftfreq(ny, d=1.0 / ny))
-        return ((kx[:, None] <= nx // 3) & (ky[None, :] <= ny // 3)).astype(float)
 
     def nodes(self):
         """Node coordinates: angles for the circle, (x, y) meshes for the torus."""
@@ -136,15 +125,10 @@ class SurfaceGrid:
 
     @property
     def solves_densely(self):
-        """True on circles small enough to solve implicit systems densely:
-        near the pure states GMRES fails there (32, 64 nodes) or needs
-        thousands of iterations (128)."""
+        """True on circles of up to 512 nodes, which always solve densely;
+        every other grid takes GMRES, which near the pure states fails on
+        such circles (32, 64 nodes) or needs thousands of iterations (128)."""
         return self.kind == CIRCLE and self.node_count <= 512
-
-    @property
-    def dealias(self):
-        """2/3-rule mask in rfft layout."""
-        return self._dealias
 
     # -- calculus on raw arrays ---------------------------------------------
 

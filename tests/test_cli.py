@@ -85,6 +85,8 @@ TORUS = "[geometry]\nkind = torus\nnx = 16\nny = 16\n"
      "bad value for experiment.d_list: '10, nan'"),
     ("[stepper]\nnewton_max_iters = -1",
      "stepper.newton_max_iters must be >= 0"),
+    # a key retired from [stepper]: documents that still set it are refused
+    ("[stepper]\ndealias = false", "unknown key 'dealias' in [stepper]"),
     # dt halving never reaches a floor of 0 or below
     ("[stepper]\ndt_min = 0", "invalid stepper config: dt_min must be positive"),
     ("[stepper]\ndt_min = -1",

@@ -3,8 +3,13 @@
 Each valid document pins the SHA-256 of its `serialize_config` text and its
 `param_hash`, so a snapshot written under it still resumes.  Each invalid
 document pins every (line, message) pair that `parse_config` reports.  The
-literals were computed with the hand-written parser that preceded the
+literals were first computed with the hand-written parser that preceded the
 table-driven one; a change to any of them is a change of behaviour.
+
+They were recomputed once, when the stepper's `damping`, `dealias` and
+`gmres_tol` keys were retired: each document's new text is its old text
+minus exactly those three lines, so a snapshot written before then carries
+a `param_hash` that no longer matches and `--resume` refuses it.
 """
 
 import hashlib
@@ -78,9 +83,6 @@ dt = 2e-3
 newton_tol = 1e-9
 newton_max_iters = 20
 dt_min = 1e-5
-damping = 0.25
-dealias = yes
-gmres_tol = 1e-11
 kappa_fallback = 1e-4
 [initial]
 kind = random
@@ -234,95 +236,95 @@ INVALID = {
 
 VALID_GOLDEN = {
     'acceptance_absorbing': (
-        'e18b1d4016aa76780024b6e923c33f9ef9a9bcdfe57287157fc3947470e8518e',
-        'a598a5553f68aeb4c533c27546f1afe09161875576cfeea2748a48d8b4b7408b'),
+        'bb0704e05d50aebe4a7e241343e8adfcf7a336644649a8de3b8de0e04393e835',
+        'e243a339af8a5d9d5fee66297f3c1bf106969143d5212f0166bf9c297552f48d'),
     'acceptance_converge': (
-        'be53658e095e3c295577b7bfb4e9703b83b102b4bad1741271024fa921249c10',
-        '43cc89e049df924790a638e3f0a8f02c0b63906b0c1e79a45afaac0c9509a380'),
+        '9687ea9b4b0eb4d8c9919ed5eee38cbf9990aae4db262f8a4b3419c3e6673ddc',
+        '42d9f31a5b2304f048a60564c7b0d4177b3f89f33415156e2dcfd8418e34369b'),
     'acceptance_energy': (
-        '3e25c9be793d8434a92a1d0cfd56757a48c89fdabc7fa7254f01e3b90840ff9d',
-        '17c5dd66f607456ffc7b963631849a0b8756aa6a6a8a98676c41cb98f6402e88'),
+        'b667bbaa0501a3b5832632cc62bed28c5da3fc331e3446f3dcb1e8059eb919d4',
+        '5b4fdf9eeb2edfb0aba677e31c4c5f294d36be4aa2ea0aa78df88388dd4d3c6a'),
     'acceptance_kappa': (
-        'ddc397a85f6915bbb8a0ab6530282ca8bc81c85fb6af2da8ccab04cb89270b5e',
-        'c0e149ee52c90138cfc13acd2277d29f6befc69d67dfce8e021230412be14b38'),
+        'aa0b10616092589ccff0bedb7f6048bbd173896409fd996c091bd736dc931a8f',
+        'f0bd880852752e6f6b1489dcfa78cabb31b7b2a79f268965f07ba7fd8ef094bc'),
     'acceptance_large_d': (
-        'b58bab8f168bbc9b28f50e8c38593156d7c9c653c30ee26ab2696d4d26d30323',
-        '8580c9edb761a23d17a81b775947f008ee7747f1204a4eae843f48963057dce7'),
+        '7386a2cb95abf636a7af809ed8e30ff4c9dc8343e05250e4e04484b78280caad',
+        'be70eea2c7306ebcec61d293185783e3879af67941f04942a33660bc8dbfccaf'),
     'circle': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '3d5d481293e3f5526ac1766019766b701f469e6982df59c9d54d6d8ef771ec0b'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '4b38a187692614ed0ebbd7abc33c33ddc2c3662d8732999174b8eff9f1bb853c'),
     'cli_reduced': (
-        '2599416eef7e0a93360c745e4d9da9afeb881198817fe8c12a85e228bbbfe53e',
-        '8a0f211c6f743abdeb983cbbcd1152069cb48f039cbbed0e9f68064018c860d9'),
+        'a16ee88d0c11b9d8b2ff26eb6e9e7df7a70d2ffc37b8e2267ab7d87d1622397c',
+        '08d011a429d35d4d9833c6d9387d5fb2eba66afdd4af1aecc80bb099a1b3f11f'),
     'config_io_minimal': (
-        'ed4a93b74c65c1ae686883038d81e0c0e085eab0d9cec37b28ba7648bf1f45b4',
-        '0c93d947f96cb5905b8739e4eaef1c96a4e83e41eab2ad54f5d5650874414b44'),
+        '399b4cfe192eb243d04f4273dcfefaa4890cb3a97f91bc7589f1d4fcb9a55ee9',
+        'b20f6f046e80893409954e721b3f0265ce244a8ad224faf0b8627aec0dadc9f9'),
     'disk': (
-        '57e31c7d3cb4358661acb0c20336afbf13bdc9c9d2043cfb82945db2a8638c88',
-        'aa1893317392fec485ed671d706a3004b922e52e4e21a36c47de6cb89e2f8c00'),
+        '2b4bc41d90075fcf204741619f25de5c67533266e97fab46f173bddcd11af730',
+        '46ecf660b06aa16f7dd8d0d1fd4cdd0c2e6dba7435ca385c33bb45d489ccc44b'),
     'empty_lists': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '3d5d481293e3f5526ac1766019766b701f469e6982df59c9d54d6d8ef771ec0b'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '4b38a187692614ed0ebbd7abc33c33ddc2c3662d8732999174b8eff9f1bb853c'),
     'every_key': (
-        'e3a8271a13da56d1903a1294072e2fc2aefb244b258db86c26a39b4f675ae2f8',
-        '48b474b7626728e73787f1a6e52a25fed1f73455459163545869f55edd3d0995'),
+        '34eaf8513a5f8b24b73ee6e20efb0f2bf2f79e9ccda89b68725b297c015f92c3',
+        '6787eaf54e0b93baa51f3f91428aea9760ee48468beebe73794783412ed6035c'),
     'exchange_cutoff_reaction': (
-        '7b721606753a907dc1a271a3f3727778c11a9c6efe1471b5d82b1f871a561e1d',
-        '02bce4a2b1e573a6415832acd0f7e9f502ba9cf3e3579b05d95e6a8fdae57c9f'),
+        '20b36c8732b3e629366d2644810f5f2fb9415b6e5f90e28e4cbd6d3453dd5669',
+        '02b192ca8372726a02d2a822c34ab2660c52e05713ec9ca731054d8434fe8347'),
     'exchange_equilibrium': (
-        'bac9cc1c87c3ef269311553503c45e1730c9d4efeeee0612b3c1ea4e8dcf98b9',
-        'e544d9336ba3feb481c935b214c234eb0e5bbfed8f7806fd34d2ef10722de0a0'),
+        'bf5a27ab92a06a6d0d29f7e787c5ef1a0d81a3409cbfa577f0ec035999848d19',
+        '405f41699b89a10338a847a99399dd4b09c6c315d2a7e83f3f39cdeaf42966cc'),
     'exchange_reaction': (
-        'd111639f121d8b3c26eb185d93bb4f2a35446eb646a4ec04520ceb47dc59ed44',
-        '1227f0d7bbcc483ef04fe27b3f35d60cce1b69479b42c2788ec67c52c67e66ef'),
+        'e6c572a74c4f158f85e53622ba3dd93e0dec985a570aa453236f1f4eb969dc9e',
+        '084b5873d02b2b6444364ca47eeeab0228c52c2b5cf729dd638fe56a7796dded'),
     'experiment_absorbing': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '023544b46b3b7eca3fd6417d2c4fa43558c823a6f3776a596906f2afa02759b5'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '91fea884c217096d5b17af82c3dcee2829adb68bc9c8fc1e6ac6b7636369ba39'),
     'experiment_equilibrium_convergence': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        'c5393c2ebd0897138cc40a5cce3f860df7b3357b7759a98d0decc5a34a79e7b4'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '00153c90caca3266d198bf9a51833775211e01e9e003324d8a7cb7217a4cde0d'),
     'experiment_kappa': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '920c5a4d29ec02c4ea3290d5405bcb2de4e39961f98428ccfdf3d0240d27a1fe'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        'c9821b4fe9e1ab9ea6b3c46463fa5eb0806cf12ac7ed9e539cc8e4e11f4b555e'),
     'experiment_large_d': (
-        '57e31c7d3cb4358661acb0c20336afbf13bdc9c9d2043cfb82945db2a8638c88',
-        'eaab29b51acaa25476abd6153a479afd59c05cc1a8c89c3c4df29010f1119410'),
+        '2b4bc41d90075fcf204741619f25de5c67533266e97fab46f173bddcd11af730',
+        '016721fc62fded84a71afc3a51b92c18d616c19a647e23740308c1a7e35d71f1'),
     'experiments_tiny_full': (
-        '9787a0cecf631d77fa8d4fe50c2df008aa8ea8ddbef8fb6c0b2dc01df0d77344',
-        '7ef04866dcd214126e9577337c1facf96c0dba6693cccd15769cbba6cc2f4a27'),
+        'e3c0d3490b8fa3626c65e0cb1ff9219157f75d8cff70c6abb6f68ee095d2693d',
+        '7a58091d84005c284729cfe991cec356c5c40430290428b3c7e69ed672dc9fc9'),
     'experiments_tiny_reduced': (
-        '3865d739acc4e9bf0b734745f8a86025f7680ab90cbe09b2957b13588eb791dc',
-        '8177f9ee28330eb9c3a06855f3537316b7f049a316fa6152aa0c7ef45b013d02'),
+        '3012aa32326612454cad1fdb29c235d286728d26f8e7320eeba159e1dcab6aa1',
+        '6592a189acaa28d4411ee3f0539bc4875cfc498f5c84718813725364da26a5e5'),
     'initial_constant': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '936ea97abd9c0b31c1e8cc300c2291f046d756385355cbe307dcca0991101741'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '65733e165c4085ca93ad0051b3e0561fac77f3193b121b1586719dd9cd0be7ba'),
     'initial_file': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        'a8ada0d1eb816567da004657160c2a8810313dd4931fbdaf414ec969bf3ebdb8'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        'f016bc32b073fc3f7e2b9c25822be9c287fbfbc33ba6e6034939cedf3d8a7c25'),
     'initial_random': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '3f848101673049f0e4915e1d6db62698eac9874ac5a1bd8f22fc40a8ebb8e2b7'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '38773caebbcb00772f0ae240c2a8d850e41456d84ba70cc23e7f79089305bd27'),
     'overrides': (
-        '2f973bfd7343866b73ad6ceb0ffff0e0fe259256ff01bb9ba4979709b38b14c7',
-        '2efa271517940db2b25695910cb5784d09d84e197b14d152f2a34f6b49ecef21'),
+        'e9024df132add7b74a5b9b8d895c2fbfd59f22ffe7f798421e62ae64ff51527a',
+        'ad012b66e7884e4c5121c6b8190bd57f3bfdb31e563c0a2d5ca28b3deebb1493'),
     'potential_logarithmic': (
-        'fa389abdcf6e928504eb1676ebc6d0ec3e52e40b74355a0b9d13209f473c2612',
-        '218cd0659e34e5c5d9eb898f09c522def4ef0377c121ac3df2dc5a7988c848e2'),
+        '31e1ba381e4dcfa44f75dd8cf83686b3b934b36e772fc456b2a0e4f01ed46af9',
+        'b3636e5b533122973f04b961b7fb4fe4084b8a247fb507b53c97ed0f75cd5d8d'),
     'potential_polynomial': (
-        'd8ec30bfdbcee6ee7e10ede354d2c5de7be0794b598fb567724e02282c81f866',
-        '2ec6d558645f1fa66e44e93f07f8b3a30972db1ab4095010336f62fb8277aa75'),
+        '6bb84152af4d74806af3d75be548ec88054e6eac17fa0a2661e8633d1a16c9f6',
+        'da9e9523fad2b0d304275ec89b272bab9c58001e7e1d1e7013fe1ecb347da005'),
     'potential_regularized': (
-        '82344295df5455b9d04e863ecad9e51ca7984405a716d3f08bb76311afe70ee3',
-        'bb4bfd4770e6a16228f8f91cd8c2ac8334a65d815df06a0921266608fb290cbe'),
+        '637f60a2de452480644217b0e4bca504e27ed36d394f48895ad9dd86eb47098c',
+        '31d4cbb6657580309443cabc2d02917c9f3a22e3567acd24ea10c4cbd15ec389'),
     'steady_panel': (
-        '635ddd1c87c546dd184d77bffd8947d04a13b4580dd645fe43b1501a958d4faa',
-        '8f5aee2e4959c95faf287d3b00f1ba9ee9d101e5c49dc77d04218feefd582270'),
+        '38a7928b4d2a1fa0dea4c581b259a0130b3958c5a2bbf63cd091d56d4af34c91',
+        '1c6d96d3c7f1d9cd887bbac2eeeefa32f7f1fd5a08f84cea3220d710ce9ddd90'),
     'torus': (
-        'a501d804139b9ef8fd54e87ff624150c32937c5e1471e2acc21bb9e069ee1393',
-        '325127148e0d86bed72fe6e76cb9f1420912db0429843841bb32fc7ecb451058'),
+        '31434c00059d489b1e9a39ecea1607f0add3beefce806b990637b44575a1c11f',
+        'ad5a612279af37974c3777151f4317da70c10f168ca7bf3bdd5bba895818f5b1'),
     'unused_keys': (
-        '6236ac7549219aaa6f6c0958b2daee0cea010b9fc040e08cb447751fe2448799',
-        '3d5d481293e3f5526ac1766019766b701f469e6982df59c9d54d6d8ef771ec0b'),
+        'fcb5b6509fc16f50c17d5655a3cd135bdb1c935823c7826b524852c17df1d262',
+        '4b38a187692614ed0ebbd7abc33c33ddc2c3662d8732999174b8eff9f1bb853c'),
 }
 
 INVALID_GOLDEN = {
@@ -339,7 +341,7 @@ INVALID_GOLDEN = {
     ],
     'bad_values': [
         (16, "bad value for stepper.newton_max_iters: '1.5'"),
-        (17, "bad value for stepper.dealias: 'maybe'"),
+        (17, "unknown key 'dealias' in [stepper]"),
         (19, "bad value for params.delta: 'fast'"),
     ],
     'circle_needs_n': [
@@ -394,7 +396,7 @@ INVALID_GOLDEN = {
         (None, 'invalid schedule: sample_stride must be >= 1'),
     ],
     'invalid_stepper': [
-        (None, 'invalid stepper config: damping factor must lie in (0, 1)'),
+        (16, "unknown key 'damping' in [stepper]"),
     ],
     'invalid_stepper_dt_min': [
         (None, 'invalid stepper config: dt_min cannot exceed dt'),

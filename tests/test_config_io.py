@@ -100,9 +100,6 @@ def config_documents(draw):
     put("stepper", "newton_tol", draw(_floats(1e-14, 1e-2)))
     put("stepper", "newton_max_iters", draw(st.integers(0, 100)))
     put("stepper", "dt_min", dt * draw(_floats(1e-4, 1.0)))
-    put("stepper", "damping", draw(_floats(0.01, 0.99)))
-    put("stepper", "dealias", draw(st.sampled_from(["true", "false"])))
-    put("stepper", "gmres_tol", draw(_floats(1e-14, 1e-2)))
     # below the smallest r0 drawn, as the logarithmic well's fallback needs
     put("stepper", "kappa_fallback", draw(_floats(1e-8, 0.04)))
 

@@ -164,13 +164,12 @@ def _dense_multiplier(grid, symbol):
 def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
                             cfg):
     """Damped Newton on the full 2n x 2n block Jacobian in physical space
-    (dense Laplacian, the 2/3 mask as a dense projector when dealiasing, no
-    Schur elimination), as (phi, v, iters).  As in the stepper, damping
-    keeps only the singular well's iterates inside (-1, 1)."""
+    (dense Laplacian, no Schur elimination), as (phi, v, iters).  As in the
+    stepper, halving keeps only the singular well's iterates inside
+    (-1, 1)."""
     n = grid.node_count
     lap = _dense_multiplier(grid, grid.lap_symbol)
     eye = np.eye(n)
-    proj = _dense_multiplier(grid, grid.dealias) if cfg.dealias else eye
     theta0 = potential.split_coefficient
     j11 = eye + dt * (lap @ lap) - (dt / delta) * lap
     j12 = (2.0 * dt / delta) * lap
@@ -180,20 +179,20 @@ def _block_newton_reference(grid, potential, delta, dt, phi_n, v_n, q_vals,
     phi, v = phi_n.copy(), v_n.copy()
     for iteration in range(cfg.newton_max_iters + 1):
         eta = (2.0 / delta) * (2.0 * v - 1.0 - phi)
-        mu = (-lap @ phi + proj @ potential.convex_deriv(phi)
+        mu = (-lap @ phi + potential.convex_deriv(phi)
               - theta0 * phi_n - 0.5 * eta)
         r1 = phi - phi_n - dt * (lap @ mu)
-        r2 = v - v_n - dt * (lap @ eta) - dt * (proj @ q_vals)
+        r2 = v - v_n - dt * (lap @ eta) - dt * q_vals
         if max(np.max(np.abs(r1)), np.max(np.abs(r2))) <= cfg.newton_tol:
             return phi.reshape(grid.shape), v.reshape(grid.shape), iteration
         jac = np.block([
-            [j11 - dt * (lap @ proj) * potential.convex_second(phi), j12],
+            [j11 - dt * lap * potential.convex_second(phi), j12],
             [j12, j22]])
         step = np.linalg.solve(jac, -np.concatenate([r1, r2]))
         alpha = 1.0
         limit = max(1.0 - stepper_mod.SEPARATION_MARGIN, np.max(np.abs(phi)))
         while singular and np.max(np.abs(phi + alpha * step[:n])) > limit:
-            alpha *= cfg.damping
+            alpha *= 0.5
         phi = phi + alpha * step[:n]
         v = v + alpha * step[n:]
     raise AssertionError("reference Newton did not converge")
@@ -241,15 +240,15 @@ def _full_disk_case():
     return st, params, rs.StepperConfig(dt=2e-3), q
 
 
-def _krylov_case(grid, dealias):
-    # v reaches the highest modes, so the mask acts on q as well as on F'
+def _krylov_case(grid):
+    # v reaches the highest modes, so q excites every mode of the solve
     st = reduced_state(grid, seed=4, amplitude=0.6, cutoff=4)
     st.v.values += lowpass_field(grid, 5, 0.2, cutoff=grid.shape[-1]).values
     params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=3.0),
                        exchange=rs.ReactionExchange(b1=0.5, b2=0.5))
     eta = rs.chem_eta(st.phi, st.v, params.delta)
     q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
-    return st, params, rs.StepperConfig(dt=1e-2, dealias=dealias), q
+    return st, params, rs.StepperConfig(dt=1e-2), q
 
 
 def _assert_matches_block_reference(st, params, cfg, q):
@@ -271,13 +270,17 @@ def test_dense_schur_newton_matches_block_reference(case):
     _assert_matches_block_reference(*case())
 
 
-@pytest.mark.parametrize("grid, dealias", [
-    (rs.SurfaceGrid.torus(16, 16), False),
-    (rs.SurfaceGrid.torus(16, 16), True),
-    (rs.SurfaceGrid.circle(48), True),
-])
-def test_krylov_schur_newton_matches_block_reference(grid, dealias):
-    _assert_matches_block_reference(*_krylov_case(grid, dealias))
+@pytest.mark.parametrize("grid, newton_tol", [
+    (rs.SurfaceGrid.torus(16, 16), 1e-10),
+    # the smallest circle past the dense branch stops at 2e-8, for the
+    # reason _circle512_case gives
+    (rs.SurfaceGrid.circle(520), 2e-8),
+], ids=["torus16", "circle520"])
+def test_krylov_schur_newton_matches_block_reference(grid, newton_tol):
+    assert not grid.solves_densely
+    st, params, cfg, q = _krylov_case(grid)
+    _assert_matches_block_reference(st, params,
+                                    replace(cfg, newton_tol=newton_tol), q)
 
 
 def test_step_operator_cache_shared_by_threads():
@@ -326,7 +329,7 @@ def test_step_operator_cache_shared_by_threads():
     info = cache.cache_info()
     assert info.maxsize is not None and info.currsize == len(dts)
     for dt in dts:
-        ops = cache(CIRCLE, params.delta, dt, False)
+        ops = cache(CIRCLE, params.delta, dt)
         arrays = [a for a in ops if a is not None]
         assert len(arrays) == len(ops)           # the dense path's too
         assert not any(a.flags.writeable for a in arrays)
@@ -419,6 +422,12 @@ def test_diagnose_equals_standalone_functionals(monkeypatch):
     assert calls == {"value": 1, "fft": 4}
 
 
+def _fallback(params, cfg):
+    # the regularized-well params that run hands to _advance
+    return replace(params,
+                   potential=params.potential.regularized(cfg.kappa_fallback))
+
+
 def test_dt_halving_retry(monkeypatch):
     # force failures for dt above a threshold; _advance must bisect far
     # enough and assemble the macro step from the pieces
@@ -435,7 +444,8 @@ def test_dt_halving_retry(monkeypatch):
 
     monkeypatch.setattr(stepper_mod, "_solve_surface", flaky)
     counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
-    out = stepper_mod._advance(st, params, cfg, cfg.dt, counters)
+    out = stepper_mod._advance(st, params, cfg, cfg.dt, counters,
+                               _fallback(params, cfg))
     assert counters["substeps"] == 4           # 4 quarter-steps
     assert counters["fallback_steps"] == 0
     assert out.t == pytest.approx(4e-3)
@@ -455,7 +465,7 @@ def test_dt_underflow_and_fallback(monkeypatch):
         with pytest.raises(rs.DtUnderflowError) as info:
             stepper_mod._advance(st, params, cfg, cfg.dt,
                                  {"substeps": 0, "fallback_steps": 0,
-                                  "newton_iters": 0})
+                                  "newton_iters": 0}, _fallback(params, cfg))
     assert info.value.t == st.t
     assert info.value.state is st
 
@@ -509,12 +519,36 @@ def test_kappa_fallback_used(monkeypatch):
     monkeypatch.setattr(stepper_mod, "_solve_surface", singular_fails)
     counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
     with pytest.warns(RuntimeWarning):
-        out = stepper_mod._advance(st, params, cfg, cfg.dt, counters)
+        out = stepper_mod._advance(st, params, cfg, cfg.dt, counters,
+                                   _fallback(params, cfg))
     assert counters["fallback_steps"] == 1
     assert out.t == pytest.approx(st.t + 2e-3)
 
 
-def test_dealias_flag_runs_and_conserves():
+def test_unusable_kappa_fallback_refused_before_step_one(monkeypatch):
+    # run builds the fallback well before step 1, so a kappa_fallback
+    # outside (0, r0) fails even where the fallback would never fire
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.ReactionExchange())
+    st = reduced_state(CIRCLE, seed=14, amplitude=0.2)
+    cfg = rs.StepperConfig(dt=2e-3, kappa_fallback=0.9)
+    original, steps = stepper_mod._step, []
+
+    def counted(*args):
+        steps.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(stepper_mod, "_step", counted)
+    with pytest.raises(ValueError, match="0 < kappa < r0"):
+        rs.run(st, params, cfg, rs.Schedule(t_final=cfg.dt))
+    assert steps == []
+    # a well without a fallback does not read kappa_fallback
+    smooth = replace(params, potential=rs.DoubleWell(kind="polynomial"))
+    rs.run(st, smooth, cfg, rs.Schedule(t_final=cfg.dt))
+    assert steps == [cfg.dt]
+
+
+def test_torus_run_conserves():
     torus = rs.SurfaceGrid.torus(32, 32)
     phi = lowpass_field(torus, 23, 0.3, cutoff=5)
     v = rs.SurfaceField.constant(torus, 0.5)
@@ -522,7 +556,7 @@ def test_dealias_flag_runs_and_conserves():
                                    np.pi + rs.surface_integral(v))
     params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
                        exchange=rs.ReactionExchange())
-    traj = rs.run(st, params, rs.StepperConfig(dt=2e-3, dealias=True),
+    traj = rs.run(st, params, rs.StepperConfig(dt=2e-3),
                   rs.Schedule(t_final=0.05, sample_stride=5))
     first, last = traj.records[0], traj.records[-1]
     assert abs(last.phi_mass - first.phi_mass) <= 1e-12 * torus.total_measure
@@ -540,8 +574,8 @@ def test_run_requires_commensurate_t_final():
 def test_config_validation():
     with pytest.raises(ValueError):
         rs.StepperConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        rs.StepperConfig(dt=1e-3, damping=1.5)
+    with pytest.raises(ValueError, match="newton_tol must be positive"):
+        rs.StepperConfig(dt=1e-3, newton_tol=0.0)
     with pytest.raises(ValueError):
         rs.StepperConfig(dt=1e-3, dt_min=2e-3)
     for dt_min in (0.0, -1.0):  # the halving would never reach the floor
