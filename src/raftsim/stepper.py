@@ -110,10 +110,12 @@ class Trajectory:
 @lru_cache(maxsize=16)
 def _step_operators(grid, delta, dt):
     """The dt-dependent operators of one surface step, built once per
-    (grid, delta, dt): the symbols b, c, the Schur symbol S and b/c, fft(1),
-    and on grids that solve densely the circulant G of S/k^2 (zero mode 1)
-    and the symbol h = 1/k^2 (zero mode 0) of _solve_surface's symmetrized
-    system (None elsewhere).
+    (grid, delta, dt): the symbols k^2, dt k^2, b, c, the Schur symbol S and
+    b/c, fft(1), and on grids that solve densely the circulant G of S/k^2
+    (zero mode 1) and the symbol h = 1/k^2 (zero mode 0) of _solve_surface's
+    symmetrized system (None elsewhere).  The symbols are stored complex
+    (with zero imaginary parts), so they multiply Fourier coefficients
+    exactly as the real values would after a cast, without a cast per call.
 
     The cache is bounded (dt halving adds a few keys per run).  Every run
     with the same key shares its arrays, including a library caller's runs
@@ -124,6 +126,7 @@ def _step_operators(grid, delta, dt):
     b_sym = -(2.0 * dt / delta) * ksq
     c_sym = 1.0 + (4.0 * dt / delta) * ksq
     schur_sym = c1 - b_sym**2 / c_sym
+    symbols = [ksq, dt * ksq, b_sym, c_sym, schur_sym, b_sym / c_sym]
     g_mat = h_sym = None
     if grid.solves_densely:
         h_sym = np.zeros_like(ksq)
@@ -131,7 +134,8 @@ def _step_operators(grid, delta, dt):
         g_sym = schur_sym * h_sym
         g_sym[0] = 1.0
         g_mat = grid.circulant(g_sym)
-    ops = (b_sym, c_sym, schur_sym, b_sym / c_sym,
+        h_sym = h_sym.astype(complex)
+    ops = (*(sym.astype(complex) for sym in symbols),
            grid.fft(np.ones(grid.shape)), g_mat, h_sym)
     for arr in ops:
         if arr is not None:
@@ -157,17 +161,24 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     magnitude and that GMRES breaks down, which the dense path avoids.  The
     iterate is carried in Fourier space (phi also at the nodes, for F' and
     the damping by halving), so a residual transforms only F'(phi).
+
+    Newton stops once max|r1| and max|r2| at the nodes are <= newton_tol.
+    SurfaceGrid.ifft_within decides that from the residual's coefficients,
+    by Parseval bounds, and transforms a residual only where they leave it
+    open, with every decision the transform's; the exact max is evaluated
+    only for the message of a stalled solve.  A residual that is not finite
+    raises NewtonDivergenceError at once, so dt halving takes over.
     """
     fft, ifft = grid.fft, grid.ifft
-    ksq = -grid.lap_symbol
     theta0 = potential.split_coefficient
     singular = potential.kind == LOGARITHMIC
-    b_sym, c_sym, schur_sym, b_over_c, one_h, g_mat, h_sym = _step_operators(
-        grid, delta, dt)
+    (ksq, dt_ksq, b_sym, c_sym, schur_sym, b_over_c, one_h, g_mat,
+     h_sym) = _step_operators(grid, delta, dt)
 
     phin_h = fft(phi_n)
     vn_h = fft(v_n)
-    q_h = fft(q_vals)
+    theta_phin_h = theta0 * phin_h
+    dt_q_h = dt * fft(q_vals)
 
     two_d = 2.0 / delta
     phi = phi_n.copy()
@@ -175,21 +186,40 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     v_h = vn_h
 
     def residual(phi, phi_h, v_h):
+        # in place, in the order of operations of
+        #   eta = 2/delta (2 v - 1 - phi)
+        #   mu = k^2 phi + F'(phi) - theta0 phi_n - eta/2
+        #   r1 = phi - phi_n + dt k^2 mu,  r2 = v - v_n + dt k^2 eta - dt q
         fp_h = fft(np.asarray(potential.convex_deriv(phi)))
-        eta_h = two_d * (2.0 * v_h - one_h - phi_h)
-        mu_h = ksq * phi_h + fp_h - theta0 * phin_h - 0.5 * eta_h
-        r1_h = phi_h - phin_h + dt * ksq * mu_h
-        r2_h = v_h - vn_h + dt * ksq * eta_h - dt * q_h
-        return r1_h, r2_h, ifft(r1_h), ifft(r2_h)
+        eta_h = 2.0 * v_h
+        eta_h -= one_h
+        eta_h -= phi_h
+        np.multiply(two_d, eta_h, out=eta_h)
+        mu_h = ksq * phi_h
+        mu_h += fp_h
+        mu_h -= theta_phin_h
+        mu_h -= np.multiply(0.5, eta_h, out=fp_h)
+        r1_h = phi_h - phin_h
+        r1_h += np.multiply(dt_ksq, mu_h, out=mu_h)
+        r2_h = v_h - vn_h
+        r2_h += np.multiply(dt_ksq, eta_h, out=eta_h)
+        r2_h -= dt_q_h
+        return r1_h, r2_h
 
     n_flat = schur_sym.size
     for iteration in range(cfg.newton_max_iters + 1):
-        r1_h, r2_h, r1, r2 = residual(phi, phi_h, v_h)
-        res = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
-        if res <= cfg.newton_tol:
+        r1_h, r2_h = residual(phi, phi_h, v_h)
+        converged = grid.ifft_within(cfg.newton_tol, r1_h, r2_h)
+        if converged is None:
+            raise NewtonDivergenceError(
+                f"surface Newton residual not finite at iteration "
+                f"{iteration} (dt={dt:g})"
+            )
+        if converged:
             # transform only the increment, so round-off scales with it
             return phi, v_n + ifft(v_h - vn_h), iteration
         if iteration == cfg.newton_max_iters:
+            res = max(np.max(np.abs(ifft(r1_h))), np.max(np.abs(ifft(r2_h))))
             raise NewtonDivergenceError(
                 f"surface Newton stalled at residual {res:.3e} "
                 f"after {iteration} iterations (dt={dt:g})"
@@ -214,16 +244,20 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             dphi_h = fft(dphi)
         else:
             cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))
-            precond = (schur_sym + dt * ksq * cmid).ravel()
+            # x * (1/p) is bitwise x / p: NumPy divides by a complex with
+            # zero imaginary part exactly so
+            inv_precond = (1.0 / (schur_sym + dt_ksq * cmid)).ravel()
 
             def matvec(x):
                 xh = x.reshape(schur_sym.shape)
                 prod_h = fft(fpp * ifft(xh))
-                return (schur_sym * xh + dt * ksq * prod_h).ravel()
+                out = schur_sym * xh
+                out += np.multiply(dt_ksq, prod_h, out=prod_h)
+                return out.ravel()
 
             op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
             prec = LinearOperator((n_flat, n_flat), dtype=complex,
-                                  matvec=lambda x: x / precond)
+                                  matvec=lambda x: x * inv_precond)
             sol, info = gmres(op, rhs_h.ravel(), rtol=1e-12, atol=0.0,
                               restart=60, maxiter=300, M=prec)
             if info != 0:

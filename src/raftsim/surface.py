@@ -16,6 +16,9 @@ from scipy import fft as _fft
 CIRCLE = "circle"
 TORUS = "torus"
 
+# relative slack of the Parseval bounds in SurfaceGrid.ifft_within
+_BOUND_SLACK = 1e-10
+
 
 class MeanFreeError(ValueError):
     """Operation requires a mean-free field but received one with mass."""
@@ -54,6 +57,7 @@ class SurfaceGrid:
             if n % 2 == 0:
                 dbl[-1] = 1.0
             self._axes = None
+            self._neg_kx = None
         else:
             nx, ny = self.shape
             lx, ly = self.lengths
@@ -65,15 +69,17 @@ class SurfaceGrid:
             if ny % 2 == 0:
                 dbl[:, -1] = 1.0
             self._axes = (-2, -1)
+            self._neg_kx = -np.arange(nx) % nx   # row of mode -kx
         self._ksq = ksq
         # rfft halves the last axis; `dbl` restores the conjugate modes in
         # Parseval sums.
+        self._dbl = dbl.ravel()
         self._parseval = dbl * (self.total_measure / self.node_count**2)
         inv = np.zeros_like(ksq)
         nonzero = ksq > 0
         inv[nonzero] = 1.0 / ksq[nonzero]
         self._inv_ksq = inv
-        for arr in (self._ksq, self._parseval, self._inv_ksq):
+        for arr in (self._ksq, self._dbl, self._parseval, self._inv_ksq):
             arr.setflags(write=False)
 
     @classmethod
@@ -108,6 +114,52 @@ class SurfaceGrid:
         if self.kind == CIRCLE:
             return _fft.irfft(coeffs, n=self.shape[0])
         return _fft.irfft2(coeffs, s=self.shape)
+
+    def ifft_within(self, tol, *coeffs):
+        """Whether max|ifft(c)| <= tol for every c of `coeffs` (rfft layout):
+        True or False, or None when a coefficient is not finite (where the
+        answer is no as well).
+
+        With N nodes and C the full spectrum that ifft reads from c,
+        rms = sqrt(sum |C|^2)/N and l1 = sum |C|/N bound the max from both
+        sides, so a c with rms > tol is out and one with l1 <= tol is in;
+        only a c that neither bound settles is transformed.  Both bounds
+        carry the relative slack _BOUND_SLACK, which on grids of up to a
+        million nodes exceeds the rounding of the sums (n u) and of the
+        transform (about log2(N) u ||ifft(c)||_2, Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, sec. 24.1), so every answer
+        is the transform's.
+        """
+        n = self.node_count
+        sums = []
+        for c in coeffs:
+            a = np.abs(c)
+            # irfft reads the zero and Nyquist lines of the last axis as
+            # their own conjugates, i.e. only their Hermitian parts
+            if self.kind == CIRCLE:
+                a[0], a[-1] = abs(c[0].real), abs(c[-1].real)
+            else:
+                step = c.shape[1] - 1
+                ends = c[:, ::step]
+                # inf - inf makes NaN quietly: a non-finite c returns None
+                with np.errstate(invalid="ignore"):
+                    herm = ends + ends[self._neg_kx].conj()
+                # modes kx = 0 and nx/2 are their own conjugates: real parts
+                herm.imag[::self.shape[0] // 2] = 0.0
+                np.multiply(np.abs(herm), 0.5, out=a[:, ::step])
+            a = a.ravel()
+            l1 = self._dbl @ a
+            if not np.isfinite(l1):
+                return None
+            sums.append((l1, self._dbl @ (a * a)))
+        bound = tol * n
+        for c, (l1, l2) in zip(coeffs, sums):
+            if l2 > (bound * (1.0 + _BOUND_SLACK)) ** 2:
+                return False
+            if (l1 * (1.0 + _BOUND_SLACK) > bound
+                    and not np.max(np.abs(self.ifft(c))) <= tol):
+                return False
+        return True
 
     @property
     def lap_symbol(self):

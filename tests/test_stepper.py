@@ -283,6 +283,83 @@ def test_krylov_schur_newton_matches_block_reference(grid, newton_tol):
                                     replace(cfg, newton_tol=newton_tol), q)
 
 
+@pytest.mark.parametrize("grid", [rs.SurfaceGrid.torus(16, 16),
+                                  rs.SurfaceGrid.circle(128)],
+                         ids=["torus16", "circle128"])
+def test_converging_solve_transforms_directions_only(grid, monkeypatch):
+    # the residual test reads the residual's coefficients, so outside
+    # GMRES's matvecs ifft runs once per Newton direction and once for the
+    # returned v; the transform test added two a residual
+    st, params, cfg, q = _krylov_case(grid)
+    calls, in_gmres = [0], [False]
+    ifft, gmres = rs.SurfaceGrid.ifft, stepper_mod.gmres
+
+    def counted_ifft(self, coeffs):
+        calls[0] += not in_gmres[0]
+        return ifft(self, coeffs)
+
+    def flagged_gmres(*args, **kwargs):
+        in_gmres[0] = True
+        try:
+            return gmres(*args, **kwargs)
+        finally:
+            in_gmres[0] = False
+
+    monkeypatch.setattr(rs.SurfaceGrid, "ifft", counted_ifft)
+    monkeypatch.setattr(stepper_mod, "gmres", flagged_gmres)
+    _, _, iters = stepper_mod._solve_surface(
+        grid, params.potential, params.delta, cfg.dt, st.phi.values,
+        st.v.values, q.values, cfg)
+    assert iters >= 2
+    assert calls[0] == iters + 1
+
+
+def test_nonfinite_residual_fails_at_once(monkeypatch):
+    # one NaN in F'(phi) used to run GMRES to its iteration cap in every
+    # attempt (36 606 transforms and 12 s on this torus); now an attempt
+    # stops at its first residual, and dt halving proceeds as before
+    torus = rs.SurfaceGrid.torus(16, 16)
+    params = rs.Params(potential=rs.DoubleWell(kind="polynomial"),
+                       exchange=rs.ReactionExchange())
+    st = reduced_state(torus, seed=6, amplitude=0.3)
+    cfg = rs.StepperConfig(dt=1e-3, dt_min=2.5e-4)
+    eta = rs.chem_eta(st.phi, st.v, params.delta)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    for dt in (cfg.dt, cfg.dt / 2, cfg.dt / 4):
+        stepper_mod._step_operators(torus, params.delta, dt)  # fft(1) too
+    convex_deriv = rs.DoubleWell.convex_deriv
+    fft, ifft = rs.SurfaceGrid.fft, rs.SurfaceGrid.ifft
+    calls = [0]
+
+    def one_nan(self, r):
+        out = np.array(convex_deriv(self, r), dtype=float)
+        out.flat[5] = np.nan
+        return out
+
+    def counted(transform):
+        def wrapper(self, x):
+            calls[0] += 1
+            if calls[0] > 100:
+                raise AssertionError("runaway solve")
+            return transform(self, x)
+        return wrapper
+
+    monkeypatch.setattr(rs.DoubleWell, "convex_deriv", one_nan)
+    monkeypatch.setattr(rs.SurfaceGrid, "fft", counted(fft))
+    monkeypatch.setattr(rs.SurfaceGrid, "ifft", counted(ifft))
+    with pytest.raises(rs.NewtonDivergenceError, match="not finite"):
+        stepper_mod._solve_surface(torus, params.potential, params.delta,
+                                   cfg.dt, st.phi.values, st.v.values,
+                                   q.values, cfg)
+    assert calls[0] == 4                  # phi_n, v_n, q and F'(phi)
+
+    calls[0] = 0
+    counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
+    with pytest.raises(rs.DtUnderflowError):
+        stepper_mod._advance(st, params, cfg, cfg.dt, counters, None)
+    assert calls[0] == 3 * 4              # at dt, dt/2 and dt/4
+
+
 def test_step_operator_cache_shared_by_threads():
     # 8 threads (more than cores) race to build and read the operators of
     # three step sizes from an empty cache; every solve must equal the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import raftsim as rs
 from raftsim.surface import MeanFreeError
@@ -99,6 +101,82 @@ def test_parseval(circle, torus):
         quad = g.l2_norm(f) ** 2
         spec = g.spectral_l2_sq(f)
         assert spec == pytest.approx(quad, rel=1e-12)
+
+
+WITHIN_GRIDS = (rs.SurfaceGrid.circle(64), rs.SurfaceGrid.circle(128),
+                rs.SurfaceGrid.circle(520), rs.SurfaceGrid.torus(16, 16),
+                rs.SurfaceGrid.torus(32, 48, lx=3.0, ly=7.0))
+
+
+def exactly_within(grid, tol, coeffs):
+    """The transform's test that SurfaceGrid.ifft_within must reproduce."""
+    return bool(np.max(np.abs(grid.ifft(coeffs))) <= tol)
+
+
+def rfft_shape(grid):
+    return grid.fft(np.zeros(grid.shape)).shape
+
+
+@st.composite
+def near_tol_spectra(draw):
+    """(grid, tol, c) with max|ifft(c)| within 1e-9 of tol, for the spectra
+    where a Parseval bound is tightest or loosest."""
+    grid = draw(st.sampled_from(WITHIN_GRIDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = rfft_shape(grid)
+    form = draw(st.sampled_from(["random", "mode", "spike"]))
+    if form == "random":
+        # any complex values, though ifft reads only the Hermitian part of
+        # the zero and Nyquist lines
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elif form == "mode":
+        # one mode: the l1 bound is tight, and at the zero and Nyquist
+        # modes the rms bound too
+        c = np.zeros(shape, complex)
+        c[tuple(draw(st.integers(0, n - 1)) for n in shape)] = complex(
+            *rng.standard_normal(2))
+    else:
+        # one node: the rms bound is loosest, the l1 bound tight
+        x = np.zeros(grid.shape)
+        x[tuple(draw(st.integers(0, n - 1)) for n in grid.shape)] = 1.0
+        c = grid.fft(x)
+    peak = np.max(np.abs(grid.ifft(c)))
+    assume(peak > 0.0)
+    # tol * N on both sides of 1, so that squaring it in the rms test matters
+    tol = 10.0 ** draw(st.floats(-12.0, 3.0))
+    gap = draw(st.sampled_from([0.0, 2.0**-52, -2.0**-52, 1e-12, -1e-12])
+               | st.floats(-1e-9, 1e-9))
+    return grid, tol, c * (tol * (1.0 + gap) / peak)
+
+
+@settings(max_examples=400, deadline=None)
+@given(near_tol_spectra(), st.sampled_from([0.5, 1.0, 2.0]))
+def test_ifft_within_equals_transform_test(case, scale):
+    grid, tol, c = case
+    want = exactly_within(grid, tol, c)
+    assert grid.ifft_within(tol, c) is want
+    other = scale * c
+    assert grid.ifft_within(tol, c, other) is (
+        want and exactly_within(grid, tol, other))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(WITHIN_GRIDS), st.integers(0, 2**32 - 1),
+       st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans(), st.data())
+def test_ifft_within_nonfinite(grid, seed, bad, imag, data):
+    c = grid.fft(np.random.default_rng(seed).standard_normal(grid.shape))
+    idx = tuple(data.draw(st.integers(0, n - 1)) for n in c.shape)
+    c[idx] = complex(c[idx].real, bad) if imag else complex(bad, c[idx].imag)
+    got = grid.ifft_within(1e3, c)
+    # None exactly where the transform is not finite (irfft ignores the
+    # imaginary part of a mode that is its own conjugate); the answer is
+    # the transform's
+    assert (got is None) == (not np.all(np.isfinite(grid.ifft(c))))
+    assert bool(got) == exactly_within(grid, 1e3, c)
+    if got is None:
+        # even after an array that the rms bound rules out
+        out = grid.fft(np.full(grid.shape, 1e6))
+        assert grid.ifft_within(1e3, out, c) is None
 
 
 def test_self_adjoint(circle, torus):
