@@ -67,7 +67,7 @@ class BulkField:
                 f"field shape {self.values.shape} does not match grid "
                 f"({self.grid.nr}, {self.grid.ntheta})"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("bulk field contains non-finite values")
 
     @classmethod
@@ -79,7 +79,7 @@ class BulkField:
 
 
 def bulk_integral(f: BulkField) -> float:
-    return float(np.sum(f.values * f.grid.cell_weight[:, None]))
+    return float((f.values * f.grid.cell_weight[:, None]).sum())
 
 
 def bulk_mean(f: BulkField) -> float:
@@ -111,8 +111,8 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     du_dr[-1, :] = (1.5 * u[-1, :] - 2.0 * u[-2, :] + 0.5 * u[-3, :]) / g.dr
     uh = _fft.rfft(u, axis=1)[:, 1:-1]
     ring_sq = (2.0 / g.ntheta) * ((uh.real**2 + uh.imag**2) @ g.modes[1:-1]**2)
-    return float(np.sum(du_dr**2 * g.cell_weight[:, None])
-                 + np.sum(ring_sq * g.cell_weight / g.radii**2))
+    return float((du_dr**2 * g.cell_weight[:, None]).sum()
+                 + (ring_sq * g.cell_weight / g.radii**2).sum())
 
 
 @lru_cache(maxsize=16)

@@ -67,6 +67,13 @@ def _cmd_run(args, system):
         if remaining < -1e-12:
             raise ConfigError([(None,
                                 f"snapshot time {state.t} is past t_final")])
+        dt = cfg.stepper.dt
+        if abs(round(remaining / dt) * dt - remaining) > 1e-9 * max(1.0, remaining):
+            # a failed.snap written after a dt halving lies between steps
+            raise ConfigError([(None,
+                                f"snapshot time {state.t} leaves {remaining:g} "
+                                f"to t_final, not a whole number of steps of "
+                                f"dt = {dt:g}")])
         schedule = replace(cfg.schedule, t_final=max(remaining, 0.0))
     else:
         state = cfg.build_initial_state()

@@ -41,8 +41,9 @@ class PotentialSingularityError(ValueError):
 
 
 def _wrap(raw, template):
-    """Return a scalar for scalar input, an ndarray otherwise."""
-    if np.isscalar(template) or np.ndim(template) == 0:
+    """Return a scalar for scalar input, an ndarray otherwise; `template` is
+    the argument after np.asarray."""
+    if template.ndim == 0:
         return float(raw)
     return np.asarray(raw, dtype=float)
 
@@ -95,7 +96,7 @@ class DoubleWell:
         if self.kind == POLYNOMIAL:
             return _wrap(0.25 * (1.0 + r**4), r)
         if self.kind == LOGARITHMIC:
-            if np.max(np.abs(r)) > 1.0:
+            if np.abs(r).max() > 1.0:
                 raise PotentialDomainError("logarithmic well needs |r| <= 1")
             return _wrap(self._log_f(r), r)
         return _wrap(self._reg_f(r), r)
@@ -158,7 +159,7 @@ class DoubleWell:
     # -- logarithmic branch helpers ---------------------------------------
 
     def _check_open_interval(self, r):
-        if np.max(np.abs(r)) >= 1.0:
+        if np.abs(r).max() >= 1.0:
             raise PotentialSingularityError(
                 "logarithmic well derivative is singular at |r| >= 1"
             )

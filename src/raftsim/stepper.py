@@ -219,7 +219,7 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             # transform only the increment, so round-off scales with it
             return phi, v_n + ifft(v_h - vn_h), iteration
         if iteration == cfg.newton_max_iters:
-            res = max(np.max(np.abs(ifft(r1_h))), np.max(np.abs(ifft(r2_h))))
+            res = max(np.abs(ifft(r1_h)).max(), np.abs(ifft(r2_h)).max())
             raise NewtonDivergenceError(
                 f"surface Newton stalled at residual {res:.3e} "
                 f"after {iteration} iterations (dt={dt:g})"
@@ -272,8 +272,8 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         if singular:
             # never tighter than the incoming iterate's own margin (which the
             # zero-mode pinning may have nudged by one ulp)
-            limit = max(1.0 - SEPARATION_MARGIN, float(np.max(np.abs(phi))))
-            while np.max(np.abs(phi + alpha * dphi)) > limit:
+            limit = max(1.0 - SEPARATION_MARGIN, float(np.abs(phi).max()))
+            while np.abs(phi + alpha * dphi).max() > limit:
                 alpha *= 0.5
                 if alpha < 1e-12:
                     raise NewtonDivergenceError(
@@ -294,14 +294,30 @@ def _pin_zero_modes(grid, phi, v, phi_n, v_n, q_vals, dt):
 
 # -- single steps --------------------------------------------------------------
 
+def _frozen_inputs(state, params):
+    """(eta, u on Gamma, q) at `state`: the inputs a step from it freezes and
+    diagnose reads.  u on Gamma is the bulk trace (SurfaceField) of a full
+    state and the scalar u of a reduced one.  None of them depends on dt or
+    on the well, so one evaluation serves every attempt from `state` (dt
+    halving and the regularized fallback included) and its diagnostics."""
+    eta = chem_eta(state.phi, state.v, params.delta)
+    u_gamma = (trace_boundary(state.u) if isinstance(state, FullState)
+               else state.u)
+    q = exchange_q(params.exchange, u_gamma, eta, state.phi, state.v, state.t)
+    return eta, u_gamma, q
+
+
 def step_full(state: FullState, params: Params, cfg: StepperConfig,
-              dt: float | None = None, counters: dict | None = None) -> FullState:
-    """One splitting step of the bulk-surface coupled system."""
+              dt: float | None = None, counters: dict | None = None,
+              frozen=None) -> FullState:
+    """One splitting step of the bulk-surface coupled system.
+
+    frozen, when the caller holds it, is _frozen_inputs(state, params)."""
     dt = cfg.dt if dt is None else dt
     grid = state.phi.grid
-    eta = chem_eta(state.phi, state.v, params.delta)
-    u_gamma = trace_boundary(state.u)
-    q0 = exchange_q(params.exchange, u_gamma, eta, state.phi, state.v, state.t)
+    if frozen is None:
+        frozen = _frozen_inputs(state, params)
+    q0 = frozen[2]
 
     u_new = diffusion_step(state.u, params.D, dt, q0)
     phi, v, iters = _solve_surface(grid, params.potential, params.delta, dt,
@@ -316,17 +332,19 @@ def step_full(state: FullState, params: Params, cfg: StepperConfig,
 
 
 def step_reduced(state: ReducedState, params: Params, cfg: StepperConfig,
-                 dt: float | None = None,
-                 counters: dict | None = None) -> ReducedState:
+                 dt: float | None = None, counters: dict | None = None,
+                 frozen=None) -> ReducedState:
     """One step of the reduced nonlocal surface system.
 
     The scalar bulk value is reconstructed from the conserved total mass
     after the surface update, so the mass relation is exact by construction.
+    frozen, when the caller holds it, is _frozen_inputs(state, params).
     """
     dt = cfg.dt if dt is None else dt
     grid = state.phi.grid
-    eta = chem_eta(state.phi, state.v, params.delta)
-    q0 = exchange_q(params.exchange, state.u, eta, state.phi, state.v, state.t)
+    if frozen is None:
+        frozen = _frozen_inputs(state, params)
+    q0 = frozen[2]
 
     phi, v, iters = _solve_surface(grid, params.potential, params.delta, dt,
                                    state.phi.values, state.v.values,
@@ -341,34 +359,49 @@ def step_reduced(state: ReducedState, params: Params, cfg: StepperConfig,
                         state.total_mass, state.omega_measure)
 
 
-def _step(state, params, cfg, dt, counters=None):
+def _step(state, params, cfg, dt, counters, frozen):
     if isinstance(state, FullState):
-        return step_full(state, params, cfg, dt, counters)
-    return step_reduced(state, params, cfg, dt, counters)
+        return step_full(state, params, cfg, dt, counters, frozen=frozen)
+    return step_reduced(state, params, cfg, dt, counters, frozen=frozen)
 
 
-def _advance(state, params, cfg, dt, counters, fallback):
+def _advance(state, params, cfg, dt, counters, fallback, frozen=None):
     """Advance by dt, halving on Newton failure down to dt_floor, then once
-    more with the regularized `fallback` params (if any) before giving up."""
+    more with the regularized `fallback` params (if any) before giving up.
+
+    frozen is _frozen_inputs(state, params), evaluated here unless the
+    caller holds it; the first attempt, the first half-step after a halving
+    and the fallback step share it.  A fallback step whose phi leaves
+    (-1, 1) raises DtUnderflowError with `state`, as the logarithmic well
+    can neither step from nor diagnose such a phi.
+    """
+    if frozen is None:
+        frozen = _frozen_inputs(state, params)
     try:
-        new_state = _step(state, params, cfg, dt, counters)
+        new_state = _step(state, params, cfg, dt, counters, frozen)
         counters["substeps"] += 1
         return new_state
     except NewtonDivergenceError as exc:
         half = 0.5 * dt
         if half >= cfg.dt_floor * (1.0 - 1e-12):
-            mid = _advance(state, params, cfg, half, counters, fallback)
+            mid = _advance(state, params, cfg, half, counters, fallback, frozen)
             return _advance(mid, params, cfg, half, counters, fallback)
         if fallback is not None:
             warnings.warn(
                 f"falling back to the kappa-regularized well at t={state.t:g} "
                 f"(dt={dt:g})", RuntimeWarning, stacklevel=2)
             try:
-                new_state = _step(state, fallback, cfg, dt, counters)
+                new_state = _step(state, fallback, cfg, dt, counters, frozen)
             except NewtonDivergenceError as exc2:
                 raise DtUnderflowError(
                     f"step failed at dt_min={cfg.dt_floor:g} even with the "
                     f"regularized well: {exc2}", state.t, state) from exc2
+            max_abs_phi = float(np.abs(new_state.phi.values).max())
+            if max_abs_phi >= 1.0:
+                raise DtUnderflowError(
+                    f"step failed at dt_min={cfg.dt_floor:g}, and the "
+                    f"regularized well's step left (-1, 1) "
+                    f"(max|phi| = {max_abs_phi:.6g})", state.t, state) from exc
             counters["substeps"] += 1
             counters["fallback_steps"] += 1
             return new_state
@@ -380,31 +413,32 @@ def _advance(state, params, cfg, dt, counters, fallback):
 # -- diagnostics ---------------------------------------------------------------
 
 def diagnose(state, params: Params, newton_iters=0, substeps=0,
-             fallback_steps=0) -> DiagnosticsRecord:
+             fallback_steps=0, frozen=None) -> DiagnosticsRecord:
     """Evaluate the full diagnostics column set at one state.
 
     fft(phi), ||grad phi||^2, the well integral and the L2 norms are
     evaluated once (model._SurfaceTerms) and shared by the energies, the
     Lyapunov functional, -lap(phi) in mu and phi_h1_sq, so a call transforms
     phi, mu, eta and the mean-free phi once each and evaluates W(phi) once.
-    Every column equals its standalone functional (total_energy,
-    surface_energy, lyapunov_functional, masses, the grid's norms) exactly.
+    frozen, when the caller holds it, is _frozen_inputs(state, params), which
+    run shares with the next step.  Every column equals its standalone
+    functional (total_energy, surface_energy, lyapunov_functional, masses,
+    the grid's norms) exactly, with or without frozen.
     """
     grid = state.phi.grid
     terms = _SurfaceTerms(state.phi, state.v, params)
-    eta = chem_eta(state.phi, state.v, params.delta)
+    if frozen is None:
+        frozen = _frozen_inputs(state, params)
+    eta, u_on_gamma, q = frozen
     mu = chem_mu(state.phi, eta, params.potential, phi_h=terms.phi_h)
     if isinstance(state, FullState):
-        u_on_gamma = trace_boundary(state.u)
         u_for_rate = u_on_gamma.values
         bulk_diss = params.D * bulk_grad_norm_sq(state.u)
         u_scalar = bulk_mean(state.u)
     else:
-        u_on_gamma = state.u
         u_for_rate = state.u
         bulk_diss = 0.0
         u_scalar = state.u
-    q = exchange_q(params.exchange, u_on_gamma, eta, state.phi, state.v, state.t)
     combined, phi_mass = masses(state)
     surface = terms.surface_energy()
     return DiagnosticsRecord(
@@ -437,8 +471,13 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
     sample_stride steps (plus the initial and final states).
 
     on_checkpoint(state, step_index) is invoked every checkpoint_stride
-    steps.  Runs are deterministic: identical inputs give bit-identical
-    trajectories, and a resumed run continues exactly where it left off.
+    steps with the run's own state, which it must not modify.  Runs are
+    deterministic: identical inputs give bit-identical trajectories, and a
+    resumed run continues exactly where it left off.
+
+    Each diagnosed state's frozen inputs (eta, u on Gamma, q; see
+    _frozen_inputs) are evaluated once and shared by its diagnose and the
+    _advance from it; _advance evaluates those of the other states.
     """
     dt = cfg.dt
     n_steps = int(round(schedule.t_final / dt)) if schedule.t_final > 0 else 0
@@ -449,21 +488,26 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
 
     fallback = (replace(params, potential=params.potential.regularized(
         cfg.kappa_fallback)) if params.potential.kind == LOGARITHMIC else None)
-    records = [diagnose(initial, params)]
+    frozen = _frozen_inputs(initial, params)
+    records = [diagnose(initial, params, frozen=frozen)]
     sampled = [initial.copy()] if schedule.keep_fields else None
     state = initial
     for i in range(1, n_steps + 1):
         counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
         try:
-            state = _advance(state, params, cfg, dt, counters, fallback)
+            state = _advance(state, params, cfg, dt, counters, fallback,
+                             frozen)
         except DtUnderflowError as exc:
             exc.step_index = i
             raise
+        frozen = None
         if i % schedule.sample_stride == 0 or i == n_steps:
+            frozen = _frozen_inputs(state, params)
             records.append(diagnose(state, params,
                                     newton_iters=counters["newton_iters"],
                                     substeps=counters["substeps"],
-                                    fallback_steps=counters["fallback_steps"]))
+                                    fallback_steps=counters["fallback_steps"],
+                                    frozen=frozen))
             if sampled is not None:
                 sampled.append(state.copy())
         if (schedule.checkpoint_stride and on_checkpoint is not None

@@ -8,6 +8,7 @@ every surface operator is exact below the Nyquist limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,6 @@ class SurfaceGrid:
             dbl[1:] = 2.0
             if n % 2 == 0:
                 dbl[-1] = 1.0
-            self._axes = None
             self._neg_kx = None
         else:
             nx, ny = self.shape
@@ -68,7 +68,6 @@ class SurfaceGrid:
             dbl[:, 1:] = 2.0
             if ny % 2 == 0:
                 dbl[:, -1] = 1.0
-            self._axes = (-2, -1)
             self._neg_kx = -np.arange(nx) % nx   # row of mode -kx
         self._ksq = ksq
         # rfft halves the last axis; `dbl` restores the conjugate modes in
@@ -157,7 +156,7 @@ class SurfaceGrid:
             if l2 > (bound * (1.0 + _BOUND_SLACK)) ** 2:
                 return False
             if (l1 * (1.0 + _BOUND_SLACK) > bound
-                    and not np.max(np.abs(self.ifft(c))) <= tol):
+                    and not np.abs(self.ifft(c)).max() <= tol):
                 return False
         return True
 
@@ -183,6 +182,8 @@ class SurfaceGrid:
         return self.kind == CIRCLE and self.node_count <= 512
 
     # -- calculus on raw arrays ---------------------------------------------
+    # Reductions call the array's own method: the same ufunc reduction as
+    # NumPy's module-level wrapper, bit for bit, at a fraction of its cost.
 
     def laplacian(self, values):
         return self.ifft(-self._ksq * self.fft(values))
@@ -201,20 +202,20 @@ class SurfaceGrid:
         return self.ifft(coeffs)
 
     def integral(self, values):
-        return float(np.sum(values)) * self.node_weight
+        return float(np.asarray(values).sum()) * self.node_weight
 
     def mean(self, values):
         return self.integral(values) / self.total_measure
 
     def l2_norm(self, values):
-        return float(np.sqrt(np.sum(np.asarray(values) ** 2) * self.node_weight))
+        return math.sqrt((np.asarray(values) ** 2).sum() * self.node_weight)
 
     def h1_seminorm_sq(self, values):
         return self.h1_seminorm_sq_of_coeffs(self.fft(values))
 
     def h1_seminorm_sq_of_coeffs(self, coeffs):
         """h1_seminorm_sq of the field whose transform is `coeffs`."""
-        return float(np.sum(self._parseval * self._ksq * np.abs(coeffs) ** 2))
+        return float((self._parseval * self._ksq * np.abs(coeffs) ** 2).sum())
 
     def hminus1_norm(self, values):
         """Dual-space norm ||grad^-1 f||_L2 of a mean-free field."""
@@ -222,14 +223,13 @@ class SurfaceGrid:
         if abs(self.mean(values)) > 1e-10 * norm:
             raise MeanFreeError("H^-1 norm needs a mean-free field")
         coeffs = self.fft(values)
-        return float(
-            np.sqrt(np.sum(self._parseval * self._inv_ksq * np.abs(coeffs) ** 2))
-        )
+        return math.sqrt(
+            (self._parseval * self._inv_ksq * np.abs(coeffs) ** 2).sum())
 
     def spectral_l2_sq(self, values):
         """Parseval form of the squared L2 norm (equals quadrature exactly)."""
         coeffs = self.fft(values)
-        return float(np.sum(self._parseval * np.abs(coeffs) ** 2))
+        return float((self._parseval * np.abs(coeffs) ** 2).sum())
 
     def __eq__(self, other):
         return (
@@ -262,7 +262,7 @@ class SurfaceField:
             raise ValueError(
                 f"field shape {self.values.shape} does not match grid {self.grid.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("surface field contains non-finite values")
 
     @classmethod

@@ -5,6 +5,7 @@ import pytest
 
 import raftsim.harness as h
 import test_experiments
+import test_stepper
 from raftsim.harness.cli import main
 
 REDUCED = """
@@ -248,6 +249,26 @@ def test_solver_failure_exit_code(config_file, tmp_path, capsys):
     assert (out / "failed.snap").exists()
     assert "solver failure" in capsys.readouterr().err
 
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fallback_step_leaving_interval_exit_code(tmp_path, capsys):
+    # once ended in a PotentialSingularityError traceback with no failed.snap
+    path = tmp_path / "run.ini"
+    path.write_text(test_stepper.FALLBACK_ESCAPE_CFG)
+    out = tmp_path / "out"
+    code = main(["run-reduced", "--config", str(path), "--out", str(out)])
+    assert code == 3
+    assert "left (-1, 1)" in capsys.readouterr().err
+    state, _ = h.read_snapshot(out / "failed.snap")
+    assert state.t == pytest.approx(1.47)
+    assert np.abs(state.phi.values).max() < 1.0
+    # it stopped between two steps of dt: a resume under the same config is
+    # refused as a configuration error, not a traceback
+    code = main(["run-reduced", "--config", str(path), "--out", str(out),
+                 "--resume", str(out / "failed.snap")])
+    assert code == 2
+    assert "not a whole number of steps" in capsys.readouterr().err
 
 def test_steady_command(tmp_path):
     cfg = tmp_path / "steady.ini"

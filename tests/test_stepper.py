@@ -7,6 +7,7 @@ import pytest
 
 import raftsim as rs
 import raftsim.stepper as stepper_mod
+from raftsim.harness.config import parse_config
 from conftest import full_state, lowpass_field, reduced_state
 
 CIRCLE = rs.SurfaceGrid.circle(64)
@@ -499,6 +500,46 @@ def test_diagnose_equals_standalone_functionals(monkeypatch):
     assert calls == {"value": 1, "fft": 4}
 
 
+
+@pytest.mark.parametrize("kind", ["full", "reduced"])
+def test_frozen_inputs_evaluated_once_per_state(monkeypatch, kind):
+    # run hands each diagnosed state's eta, u on Gamma and q to diagnose and
+    # to the next step, so with sample_stride 1 every state evaluates them
+    # once (the steps used to evaluate them a second time)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.EquilibriumExchange(a0=1.0))
+    if kind == "full":
+        st = full_state(rs.DiskGrid(8, 32), seed=3)
+    else:
+        st = reduced_state(CIRCLE, seed=3)
+    calls = {"chem_eta": 0, "trace_boundary": 0, "exchange_q": 0}
+
+    def counted(name):
+        original = getattr(stepper_mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(stepper_mod, name, counted(name))
+    cfg = rs.StepperConfig(dt=1e-3)
+    traj = rs.run(st, params, cfg, rs.Schedule(t_final=5e-3, sample_stride=1))
+    states = len(traj.records)
+    assert states == 6
+    assert calls == {"chem_eta": states, "exchange_q": states,
+                     "trace_boundary": states if kind == "full" else 0}
+
+
+def test_diagnose_with_shared_inputs_equals_without():
+    params = rs.Params(D=3.0, delta=0.8,
+                       potential=rs.DoubleWell(theta=1.0, theta0=2.5),
+                       exchange=rs.EquilibriumExchange(a0=1.0))
+    for st in contract_states():
+        frozen = stepper_mod._frozen_inputs(st, params)
+        assert rs.diagnose(st, params, frozen=frozen) == rs.diagnose(st, params)
+
 def _fallback(params, cfg):
     # the regularized-well params that run hands to _advance
     return replace(params,
@@ -601,6 +642,55 @@ def test_kappa_fallback_used(monkeypatch):
     assert counters["fallback_steps"] == 1
     assert out.t == pytest.approx(st.t + 2e-3)
 
+
+
+# The logarithmic well fails at dt_min from the state at t = 1.47, and the
+# regularized well's step from it reaches max|phi| = 1.0042.
+FALLBACK_ESCAPE_CFG = """
+[run]
+system = reduced
+[geometry]
+kind = circle
+n = 32
+[potential]
+kind = logarithmic
+theta = 1.0
+theta0 = 4.5
+[exchange]
+kind = reaction
+b1 = 0.2
+b2 = 0.2
+[stepper]
+dt = 0.12
+dt_min = 0.03
+newton_max_iters = 5
+kappa_fallback = 0.01
+[initial]
+kind = random
+seed = 21
+amplitude = 0.5
+cutoff = 4
+v0 = 0.5
+u0 = 1.0
+[schedule]
+t_final = 3.6
+"""
+
+
+def test_fallback_step_leaving_interval_ends_run():
+    # a step that leaves (-1, 1) cannot be taken further (or diagnosed) on
+    # the logarithmic well; the run must end as a solver failure that
+    # carries the state the step started from
+    cfg = parse_config(FALLBACK_ESCAPE_CFG)
+    with pytest.warns(RuntimeWarning, match="falling back"):
+        with pytest.raises(rs.DtUnderflowError,
+                           match=r"left \(-1, 1\)") as info:
+            rs.run(cfg.build_initial_state(), cfg.build_params(),
+                   cfg.stepper, cfg.schedule)
+    exc = info.value
+    assert exc.t == exc.state.t == pytest.approx(1.47)
+    assert exc.step_index == 13
+    assert np.abs(exc.state.phi.values).max() < 1.0
 
 def test_unusable_kappa_fallback_refused_before_step_one(monkeypatch):
     # run builds the fallback well before step 1, so a kappa_fallback
