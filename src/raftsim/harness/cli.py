@@ -19,7 +19,7 @@ import numpy as np
 
 from ..potentials import LOGARITHMIC
 from ..steady import NonConvergenceError, solve_stationary_phi, steady_residual
-from ..stepper import DtUnderflowError, NewtonDivergenceError, run
+from ..stepper import DtUnderflowError, NewtonDivergenceError, run, whole_steps
 from .config import ConfigError, parse_config, serialize_config
 from .experiments import (
     experiment_absorbing,
@@ -67,13 +67,12 @@ def _cmd_run(args, system):
         if remaining < -1e-12:
             raise ConfigError([(None,
                                 f"snapshot time {state.t} is past t_final")])
-        dt = cfg.stepper.dt
-        if abs(round(remaining / dt) * dt - remaining) > 1e-9 * max(1.0, remaining):
+        if whole_steps(remaining, cfg.stepper.dt) is None:
             # a failed.snap written after a dt halving lies between steps
             raise ConfigError([(None,
                                 f"snapshot time {state.t} leaves {remaining:g} "
                                 f"to t_final, not a whole number of steps of "
-                                f"dt = {dt:g}")])
+                                f"dt = {cfg.stepper.dt:g}")])
         schedule = replace(cfg.schedule, t_final=max(remaining, 0.0))
     else:
         state = cfg.build_initial_state()

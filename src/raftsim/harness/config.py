@@ -31,7 +31,7 @@ from ..model import (
     ReducedState,
 )
 from ..potentials import DoubleWell, LOGARITHMIC, POLYNOMIAL, REGULARIZED
-from ..stepper import Schedule, StepperConfig
+from ..stepper import Schedule, StepperConfig, whole_steps
 from ..surface import SurfaceField, SurfaceGrid
 
 
@@ -100,7 +100,7 @@ class RunConfig:
 
     def build_params(self) -> Params:
         return Params(D=self.D, delta=self.delta, potential=self.potential,
-                      exchange=self.exchange, omega_measure=self.omega_measure)
+                      exchange=self.exchange)
 
     def build_surface_grid(self) -> SurfaceGrid:
         g = self.geometry
@@ -261,8 +261,6 @@ _CHECKS = (
      "unknown potential kind {!r}"),
     ("exchange", "kind", _one_of(_LAWS), "exchange.kind must be equilibrium, "
      "reaction or cutoff_reaction, got {!r}"),
-    ("stepper", "newton_max_iters", lambda iters: iters >= 0,
-     "stepper.newton_max_iters must be >= 0"),
     ("params", "diffusion", _positive,
      "diffusion coefficient must be positive"),
     ("params", "delta", _positive, "delta must be positive (affinity strength)"),
@@ -416,13 +414,10 @@ def parse_config(text: str, overrides=()) -> RunConfig:
         errors.append((line_of("stepper", "kappa_fallback"),
                        f"stepper.kappa_fallback must lie in (0, potential.r0 "
                        f"= {well.r0!r}), got {stepper.kappa_fallback!r}"))
-    if stepper is not None and schedule is not None:
-        t_final = schedule.t_final
-        steps = t_final / stepper.dt
-        if not (math.isfinite(steps) and abs(round(steps) * stepper.dt - t_final)
-                <= 1e-9 * max(1.0, t_final)):
-            errors.append((line_of("schedule", "t_final"),
-                           "t_final must be an integer multiple of stepper.dt"))
+    if (stepper is not None and schedule is not None
+            and whole_steps(schedule.t_final, stepper.dt) is None):
+        errors.append((line_of("schedule", "t_final"),
+                       "t_final must be an integer multiple of stepper.dt"))
 
     if errors:
         raise ConfigError(errors)

@@ -96,37 +96,29 @@ def write_snapshot(state, path, param_hash: str = ""):
     """Serialize a state; roundtrips bit-exactly through read_snapshot.
     Atomic: a failure mid-write leaves any previous file at `path` intact."""
     if isinstance(state, FullState):
-        header = {
-            "system": "full",
-            "grid": _grid_spec(state),
-            "t": float(state.t).hex(),
-            "param_hash": param_hash,
-            "fields": [["u", state.u.values.size],
-                       ["phi", state.phi.values.size],
-                       ["v", state.v.values.size]],
-        }
-        payload = [state.u.values, state.phi.values, state.v.values]
+        system, payload = "full", {"u": state.u.values}
     elif isinstance(state, ReducedState):
-        header = {
-            "system": "reduced",
-            "grid": _grid_spec(state),
-            "t": float(state.t).hex(),
-            "param_hash": param_hash,
-            "scalars": {"u": float(state.u).hex(),
-                        "total_mass": float(state.total_mass).hex(),
-                        "omega_measure": float(state.omega_measure).hex()},
-            "fields": [["phi", state.phi.values.size],
-                       ["v", state.v.values.size]],
-        }
-        payload = [state.phi.values, state.v.values]
+        system, payload = "reduced", {}
     else:
         raise TypeError(f"cannot snapshot {type(state).__name__}")
+    payload.update(phi=state.phi.values, v=state.v.values)
+    header = {
+        "system": system,
+        "grid": _grid_spec(state),
+        "t": float(state.t).hex(),
+        "param_hash": param_hash,
+        "fields": [[name, arr.size] for name, arr in payload.items()],
+    }
+    if system == "reduced":
+        header["scalars"] = {"u": float(state.u).hex(),
+                             "total_mass": float(state.total_mass).hex(),
+                             "omega_measure": float(state.omega_measure).hex()}
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            for arr in payload:
+            for arr in payload.values():
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(tmp, path)
     except BaseException:

@@ -97,27 +97,20 @@ ExchangeLaw = EquilibriumExchange | ReactionExchange | CutoffReactionExchange
 class Params:
     """Structural coefficients of the coupled system.
 
-    epsilon is fixed at 1 (interface width scaling is not varied here);
-    omega_measure is the bulk volume entering the reduced model's mass
-    relation (pi for the unit disk).
+    The interface width is fixed at 1.  The bulk volume of the reduced
+    model's mass relation is carried by ReducedState.omega_measure.
     """
 
     D: float = 1.0
     delta: float = 1.0
     potential: DoubleWell = field(default_factory=DoubleWell)
     exchange: ExchangeLaw = field(default_factory=ReactionExchange)
-    epsilon: float = 1.0
-    omega_measure: float = math.pi
 
     def __post_init__(self):
         if self.D <= 0.0:
             raise ValueError(f"diffusivity D must be positive, got {self.D}")
         if self.delta <= 0.0:
             raise ValueError(f"affinity delta must be positive, got {self.delta}")
-        if self.epsilon != 1.0:
-            raise ValueError("epsilon is fixed to 1")
-        if self.omega_measure <= 0.0:
-            raise ValueError("omega_measure must be positive")
 
 
 # -- states -------------------------------------------------------------------

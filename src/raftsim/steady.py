@@ -22,6 +22,8 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .potentials import DoubleWell, LOGARITHMIC, SEPARATION_MARGIN
 from .surface import SurfaceField, SurfaceGrid, mean_free_matrix
 
+_MAX_STEPS = 500  # linear solves a stationary solve may take
+
 
 class NonConvergenceError(RuntimeError):
     """Stationary solve missed the residual target; carries the best value."""
@@ -104,8 +106,7 @@ def _unstable_constant(grid, potential, phi, init_vals):
 
 
 def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
-                         init: SurfaceField, tol: float = 1e-10,
-                         max_steps: int = 500) -> SurfaceField:
+                         init: SurfaceField, tol: float = 1e-10) -> SurfaceField:
     """Solve the constrained stationary problem with mean value m.
 
     Pseudo-transient continuation (Kelley & Keyes 1998) along the
@@ -121,7 +122,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     raises ||F|| more than tenfold, or a failed Krylov solve cuts dt by 4.
     Iterates are damped to stay inside |phi| < 1 on the logarithmic well.
     Raises NonConvergenceError with the best residual if the target is not
-    met within max_steps linear solves, or if a varying guess ends on a
+    met within _MAX_STEPS (500) linear solves, or if a varying guess ends on a
     linearly unstable constant state (a saddle).
     """
     if not -1.0 < m < 1.0:
@@ -138,7 +139,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     res_field = _residual_field(grid, potential, phi)
     res = best = grid.l2_norm(res_field)
     dt = 0.05
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if res <= tol:
             break
         dphi = solve(np.asarray(potential.second(phi)), -res_field, dt)
@@ -166,7 +167,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     if res > tol:
         raise NonConvergenceError(
             f"stationary solve stalled at residual {best:.3e} (target {tol:g}) "
-            f"after {max_steps} steps", best)
+            f"after {_MAX_STEPS} steps", best)
     if _unstable_constant(grid, potential, phi, init_vals):
         raise NonConvergenceError(
             f"the varying guess converged onto the constant state {m:g}, a "

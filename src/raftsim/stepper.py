@@ -67,11 +67,14 @@ class StepperConfig:
     kappa_fallback: float = 1e-5
 
     def __post_init__(self):
-        if self.dt <= 0.0:
+        # `not x > 0` refuses NaN too, for which `x <= 0` is False
+        if not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.newton_tol <= 0.0:
+        if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
-        if self.dt_min is not None and self.dt_min <= 0.0:
+        if self.newton_max_iters < 0:
+            raise ValueError("newton_max_iters must be >= 0")
+        if self.dt_min is not None and not self.dt_min > 0.0:
             raise ValueError("dt_min must be positive")
         if self.dt_min is not None and self.dt_min > self.dt:
             raise ValueError("dt_min cannot exceed dt")
@@ -86,11 +89,10 @@ class Schedule:
     t_final: float
     sample_stride: int = 1
     checkpoint_stride: int = 0
-    keep_fields: bool = False
 
     def __post_init__(self):
-        if self.t_final < 0.0:
-            raise ValueError("t_final must be >= 0")
+        if not 0.0 <= self.t_final < np.inf:
+            raise ValueError("t_final must be finite and >= 0")
         if self.sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
         if self.checkpoint_stride < 0:
@@ -101,8 +103,16 @@ class Schedule:
 class Trajectory:
     records: list
     final_state: object
-    dt: float
-    sampled_states: list | None = None
+
+
+def whole_steps(span: float, dt: float) -> int | None:
+    """The number of steps of dt that make up `span`, or None when span is
+    not finite or not a whole number of steps (within 1e-9 max(1, |span|))."""
+    steps = span / dt
+    if not np.isfinite(steps):
+        return None
+    n = int(round(steps))
+    return n if abs(n * dt - span) <= 1e-9 * max(1.0, abs(span)) else None
 
 
 # -- implicit surface solve ---------------------------------------------------
@@ -307,19 +317,14 @@ def _frozen_inputs(state, params):
     return eta, u_gamma, q
 
 
-def step_full(state: FullState, params: Params, cfg: StepperConfig,
-              dt: float | None = None, counters: dict | None = None,
-              frozen=None) -> FullState:
-    """One splitting step of the bulk-surface coupled system.
-
-    frozen, when the caller holds it, is _frozen_inputs(state, params)."""
+def _surface_half(state, params, cfg, dt, counters, frozen):
+    """The half of a step that both systems share: freeze q at `state`
+    (from frozen, when the caller holds it), solve the implicit surface
+    update and pin its zero modes.  Returns (dt, q, phi', v'), with dt
+    defaulted to cfg.dt and phi', v' as SurfaceFields."""
     dt = cfg.dt if dt is None else dt
     grid = state.phi.grid
-    if frozen is None:
-        frozen = _frozen_inputs(state, params)
-    q0 = frozen[2]
-
-    u_new = diffusion_step(state.u, params.D, dt, q0)
+    q0 = (_frozen_inputs(state, params) if frozen is None else frozen)[2]
     phi, v, iters = _solve_surface(grid, params.potential, params.delta, dt,
                                    state.phi.values, state.v.values,
                                    q0.values, cfg)
@@ -327,8 +332,19 @@ def step_full(state: FullState, params: Params, cfg: StepperConfig,
         counters["newton_iters"] += iters
     _pin_zero_modes(grid, phi, v, state.phi.values, state.v.values,
                     q0.values, dt)
-    return FullState(state.t + dt, u_new,
-                     SurfaceField(grid, phi), SurfaceField(grid, v))
+    return dt, q0, SurfaceField(grid, phi), SurfaceField(grid, v)
+
+
+def step_full(state: FullState, params: Params, cfg: StepperConfig,
+              dt: float | None = None, counters: dict | None = None,
+              frozen=None) -> FullState:
+    """One splitting step of the bulk-surface coupled system: the surface
+    half, then one diffusion step of the bulk with the same frozen q.
+
+    frozen, when the caller holds it, is _frozen_inputs(state, params)."""
+    dt, q0, phi, v = _surface_half(state, params, cfg, dt, counters, frozen)
+    return FullState(state.t + dt, diffusion_step(state.u, params.D, dt, q0),
+                     phi, v)
 
 
 def step_reduced(state: ReducedState, params: Params, cfg: StepperConfig,
@@ -337,26 +353,13 @@ def step_reduced(state: ReducedState, params: Params, cfg: StepperConfig,
     """One step of the reduced nonlocal surface system.
 
     The scalar bulk value is reconstructed from the conserved total mass
-    after the surface update, so the mass relation is exact by construction.
+    after the surface half, so the mass relation is exact by construction.
     frozen, when the caller holds it, is _frozen_inputs(state, params).
     """
-    dt = cfg.dt if dt is None else dt
-    grid = state.phi.grid
-    if frozen is None:
-        frozen = _frozen_inputs(state, params)
-    q0 = frozen[2]
-
-    phi, v, iters = _solve_surface(grid, params.potential, params.delta, dt,
-                                   state.phi.values, state.v.values,
-                                   q0.values, cfg)
-    if counters is not None:
-        counters["newton_iters"] += iters
-    _pin_zero_modes(grid, phi, v, state.phi.values, state.v.values,
-                    q0.values, dt)
-    v_field = SurfaceField(grid, v)
-    u_new = reduced_u_from_mass(state.total_mass, v_field, state.omega_measure)
-    return ReducedState(state.t + dt, u_new, SurfaceField(grid, phi), v_field,
-                        state.total_mass, state.omega_measure)
+    dt, _, phi, v = _surface_half(state, params, cfg, dt, counters, frozen)
+    u_new = reduced_u_from_mass(state.total_mass, v, state.omega_measure)
+    return ReducedState(state.t + dt, u_new, phi, v, state.total_mass,
+                        state.omega_measure)
 
 
 def _step(state, params, cfg, dt, counters, frozen):
@@ -468,10 +471,13 @@ def diagnose(state, params: Params, newton_iters=0, substeps=0,
 def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
         on_checkpoint=None) -> Trajectory:
     """Advance `initial` to t_final, sampling diagnostics every
-    sample_stride steps (plus the initial and final states).
+    sample_stride steps (plus the initial and final states).  The returned
+    Trajectory holds those records and the final state.
 
-    on_checkpoint(state, step_index) is invoked every checkpoint_stride
-    steps with the run's own state, which it must not modify.  Runs are
+    t_final must be a whole number of steps of dt (see whole_steps), else
+    ValueError.  States along the way are observed through
+    on_checkpoint(state, step_index), invoked every checkpoint_stride steps
+    with the run's own state, which it must not modify.  Runs are
     deterministic: identical inputs give bit-identical trajectories, and a
     resumed run continues exactly where it left off.
 
@@ -480,8 +486,8 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
     _advance from it; _advance evaluates those of the other states.
     """
     dt = cfg.dt
-    n_steps = int(round(schedule.t_final / dt)) if schedule.t_final > 0 else 0
-    if abs(n_steps * dt - schedule.t_final) > 1e-9 * max(1.0, abs(schedule.t_final)):
+    n_steps = whole_steps(schedule.t_final, dt)
+    if n_steps is None:
         raise ValueError(
             f"t_final={schedule.t_final!r} is not an integer multiple of dt={dt!r}"
         )
@@ -490,7 +496,6 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
         cfg.kappa_fallback)) if params.potential.kind == LOGARITHMIC else None)
     frozen = _frozen_inputs(initial, params)
     records = [diagnose(initial, params, frozen=frozen)]
-    sampled = [initial.copy()] if schedule.keep_fields else None
     state = initial
     for i in range(1, n_steps + 1):
         counters = {"substeps": 0, "fallback_steps": 0, "newton_iters": 0}
@@ -508,10 +513,7 @@ def run(initial, params: Params, cfg: StepperConfig, schedule: Schedule,
                                     substeps=counters["substeps"],
                                     fallback_steps=counters["fallback_steps"],
                                     frozen=frozen))
-            if sampled is not None:
-                sampled.append(state.copy())
         if (schedule.checkpoint_stride and on_checkpoint is not None
                 and i % schedule.checkpoint_stride == 0):
             on_checkpoint(state, i)
-    return Trajectory(records=records, final_state=state, dt=dt,
-                      sampled_states=sampled)
+    return Trajectory(records=records, final_state=state)

@@ -85,7 +85,7 @@ TORUS = "[geometry]\nkind = torus\nnx = 16\nny = 16\n"
     ("[experiment]\nd_list = 10, nan",
      "bad value for experiment.d_list: '10, nan'"),
     ("[stepper]\nnewton_max_iters = -1",
-     "stepper.newton_max_iters must be >= 0"),
+     "invalid stepper config: newton_max_iters must be >= 0"),
     # a key retired from [stepper]: documents that still set it are refused
     ("[stepper]\ndealias = false", "unknown key 'dealias' in [stepper]"),
     # dt halving never reaches a floor of 0 or below
@@ -269,6 +269,20 @@ def test_fallback_step_leaving_interval_exit_code(tmp_path, capsys):
                  "--resume", str(out / "failed.snap")])
     assert code == 2
     assert "not a whole number of steps" in capsys.readouterr().err
+
+
+def test_resume_from_nonfinite_time_exit_code(config_file, tmp_path, capsys):
+    # once ended in a "cannot convert float NaN to integer" traceback
+    cfg = h.parse_config(REDUCED)
+    state = cfg.build_initial_state()
+    state.t = float("nan")
+    snap = tmp_path / "nan.snap"
+    h.write_snapshot(state, snap, h.param_hash(cfg))
+    code = main(["run-reduced", "--config", str(config_file),
+                 "--out", str(tmp_path / "o"), "--resume", str(snap)])
+    assert code == 2
+    assert "not a whole number of steps" in capsys.readouterr().err
+
 
 def test_steady_command(tmp_path):
     cfg = tmp_path / "steady.ini"

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -260,6 +261,30 @@ def test_snapshot_roundtrip_reduced(tmp_path):
     assert back.omega_measure == st.omega_measure
     assert back.phi.grid == grid
     assert np.array_equal(back.v.values, st.v.values)
+
+
+def test_snapshot_bytes_pinned(tmp_path):
+    # the documented format that --resume of existing snapshots reads; the
+    # fields are dyadic, so the bytes do not depend on NumPy's arithmetic
+    disk = rs.DiskGrid(4, 8)
+    circle = disk.boundary
+    full = rs.FullState(
+        0.125, rs.BulkField(disk, np.arange(32.0).reshape(4, 8) / 64.0),
+        rs.SurfaceField(circle, np.arange(8.0) / 16.0 - 0.25),
+        rs.SurfaceField.constant(circle, 0.5))
+    torus = rs.SurfaceGrid.torus(8, 8, 1.5, 2.5)
+    reduced = rs.ReducedState(
+        0.375, 0.75,
+        rs.SurfaceField(torus, np.arange(64.0).reshape(8, 8) / 128.0 - 0.25),
+        rs.SurfaceField.constant(torus, 0.5), 2.8125, 1.25)
+    expected = {
+        "full": "10121b75dd396fba980c1bc5494df4052c6f3450cee16b5fdf1536b05b5b315b",
+        "reduced": "bd31ffcc4c10c5ff382bdbecff0d4b30b35d4520677d57fbcd6673bcd89c6a4d",
+    }
+    for name, state in (("full", full), ("reduced", reduced)):
+        path = tmp_path / f"{name}.snap"
+        h.write_snapshot(state, path, "0123abcd")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name]
 
 
 def test_snapshot_hash_guard(tmp_path):

@@ -174,20 +174,17 @@ def test_sweep_members_run_in_order_on_calling_thread(monkeypatch, experiment,
     assert [thread for _, thread in calls] == [threading.get_ident()] * len(calls)
 
 
-def test_run_keep_fields():
-    cfg = h.parse_config(TINY_REDUCED)
-    from dataclasses import replace
-    sched = replace(cfg.schedule, keep_fields=True, sample_stride=5)
-    traj = rs.run(cfg.build_initial_state(), cfg.build_params(), cfg.stepper,
-                  sched)
-    assert traj.sampled_states is not None
-    assert len(traj.sampled_states) == len(traj.records)
-    assert traj.sampled_states[0].t == 0.0
-    assert traj.sampled_states[-1].t == pytest.approx(0.05)
-
-
 def test_experiments_deterministic():
     cfg = h.parse_config(TINY_REDUCED)
     a = experiment_kappa_refinement(cfg, [1e-2])
     b = experiment_kappa_refinement(cfg, [1e-2])
     assert a["rows"] == b["rows"]
+
+
+def test_equilibrium_rate_fit():
+    # the fit reads phi at t = 0 and at every sample, leaving out the final
+    # state; pinned, so a change in how the states are collected shows
+    rate = experiment_equilibrium_convergence(
+        h.parse_config(TINY_EQUILIBRIUM))["rate"]
+    assert rate["points"] == 10
+    assert rate["lambda_fit"] == pytest.approx(67.36513027140931, rel=1e-12)

@@ -752,3 +752,31 @@ def test_config_validation():
         rs.Schedule(t_final=-1.0)
     cfg = rs.StepperConfig(dt=1.0)
     assert cfg.dt_floor == pytest.approx(1.0 / 1024)
+
+
+@pytest.mark.parametrize("build", [
+    # every Newton solve "converged" at iteration 0: phi never moved
+    lambda: rs.StepperConfig(dt=1e-3, newton_tol=float("nan")),
+    # dt halving switched off: one attempt before DtUnderflowError
+    lambda: rs.StepperConfig(dt=1e-3, dt_min=float("nan")),
+    lambda: rs.StepperConfig(dt=float("nan")),
+    # run ended in a TypeError from the Newton loop
+    lambda: rs.StepperConfig(dt=1e-3, newton_max_iters=-1),
+    # run returned after zero steps
+    lambda: rs.Schedule(t_final=float("nan")),
+    # run raised OverflowError
+    lambda: rs.Schedule(t_final=float("inf")),
+], ids=["newton_tol_nan", "dt_min_nan", "dt_nan", "newton_max_iters_negative",
+        "t_final_nan", "t_final_inf"])
+def test_config_refuses_meaningless_values(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_whole_steps():
+    assert stepper_mod.whole_steps(0.05, 5e-3) == 10
+    assert stepper_mod.whole_steps(0.0, 5e-3) == 0
+    assert stepper_mod.whole_steps(-1e-13, 5e-3) == 0  # round-off below 0
+    assert stepper_mod.whole_steps(1e-2, 3e-3) is None
+    for span in (float("nan"), float("inf")):
+        assert stepper_mod.whole_steps(span, 1e-3) is None
