@@ -397,6 +397,12 @@ def parse_config(text: str, overrides=()) -> RunConfig:
     if system == "reduced" and geometry == "disk":
         errors.append((line_of("geometry", "kind"),
                        "the reduced system lives on a circle or torus"))
+    if system == "full" and values["params"].get("omega_measure",
+                                                 math.pi) != math.pi:
+        # only the reduced system reads omega_measure
+        errors.append((line_of("params", "omega_measure"),
+                       "the full system's bulk is the unit disk: "
+                       "params.omega_measure must be pi or left out"))
     init = built["initial"]
     if init is not None and init.kind == "random":
         if init.seed is None:

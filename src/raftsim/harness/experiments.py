@@ -66,7 +66,7 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
 
     state0 = cfg.build_initial_state()
     grid = state0.phi.grid
-    omega = math.pi
+    omega = state0.u.grid.total_measure
     total_mass = omega * cfg.initial.u0 + grid.integral(state0.v.values)
     h0_expected = 2.0 * total_mass / omega
     if abs(law.h0 - h0_expected) > 1e-12 * max(1.0, h0_expected):
@@ -178,7 +178,7 @@ def experiment_equilibrium_convergence(cfg: RunConfig) -> dict:
         u_dyn = final.u
         u_dev = 0.0
     else:
-        omega = math.pi
+        omega = final.u.grid.total_measure
         total_mass = bulk_integral(final.u) + grid.integral(final.v.values)
         u_dyn = bulk_mean(final.u)
         u_dev = float(np.sqrt(bulk_integral(

@@ -23,6 +23,14 @@ from .potentials import DoubleWell
 from .surface import SurfaceField, surface_integral
 
 
+def _require_finite(**values):
+    """Refuse NaN and infinite coefficients, which no run can use; the sign
+    tests that follow then need no care for NaN."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 # -- exchange laws -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class EquilibriumExchange:
     alpha: float = 0.0
 
     def __post_init__(self):
+        _require_finite(a0=self.a0, alpha=self.alpha)
         if self.a0 < 0.0:
             raise ValueError(f"equilibrium coefficient must be >= 0, got {self.a0}")
         if self.alpha < 0.0:
@@ -58,6 +67,7 @@ class ReactionExchange:
     b2: float = 1.0
 
     def __post_init__(self):
+        _require_finite(b1=self.b1, b2=self.b2)
         if self.b1 <= 0.0 or self.b2 <= 0.0:
             raise ValueError("reaction rates b1, b2 must be positive")
 
@@ -75,17 +85,14 @@ class CutoffReactionExchange:
     h0: float = 1.0
 
     def __post_init__(self):
+        _require_finite(b1=self.b1, b2=self.b2, h0=self.h0)
         if self.b1 <= 0.0 or self.b2 <= 0.0 or self.h0 <= 0.0:
             raise ValueError("cutoff reaction needs b1, b2, h0 all positive")
 
     def cutoff(self, r):
-        r = np.asarray(r, dtype=float)
-        s = np.clip(np.abs(r) - self.h0, 0.0, 1.0)
-        ramp = self.h0 + s - 0.5 * s**2        # value h0 + 1/2 at s = 1
-        out = np.sign(r) * np.where(np.abs(r) <= self.h0, np.abs(r), ramp)
-        if np.ndim(r) == 0:
-            return float(out)
-        return out
+        a = np.abs(r)
+        s = np.clip(a - self.h0, 0.0, 1.0)     # 0 on [-h0, h0], 1 beyond h0 + 1
+        return np.sign(r) * (np.minimum(a, self.h0) + s - 0.5 * s**2)
 
 
 ExchangeLaw = EquilibriumExchange | ReactionExchange | CutoffReactionExchange
@@ -107,6 +114,7 @@ class Params:
     exchange: ExchangeLaw = field(default_factory=ReactionExchange)
 
     def __post_init__(self):
+        _require_finite(D=self.D, delta=self.delta)
         if self.D <= 0.0:
             raise ValueError(f"diffusivity D must be positive, got {self.D}")
         if self.delta <= 0.0:
@@ -152,6 +160,11 @@ class ReducedState:
     def __post_init__(self):
         if self.phi.grid != self.v.grid:
             raise ValueError("phi and v must share one surface grid")
+        _require_finite(u=self.u, total_mass=self.total_mass,
+                        omega_measure=self.omega_measure)
+        if self.omega_measure <= 0.0:
+            raise ValueError(
+                f"omega_measure must be positive, got {self.omega_measure!r}")
         lhs = self.omega_measure * self.u + surface_integral(self.v)
         if abs(lhs - self.total_mass) > 1e-10 * max(1.0, abs(self.total_mass)):
             raise ValueError(
@@ -239,7 +252,7 @@ class _SurfaceTerms:
         self.phi, self.v, self.delta = phi, v, params.delta
         self.phi_h = grid.fft(phi.values)
         self.grad_sq = grid.h1_seminorm_sq_of_coeffs(self.phi_h)
-        self.well = grid.integral(np.asarray(params.potential.value(phi.values)))
+        self.well = grid.integral(params.potential.value(phi.values))
         self.phi_l2_sq = grid.l2_norm(phi.values) ** 2
         self.v_l2_sq = grid.l2_norm(v.values) ** 2
 

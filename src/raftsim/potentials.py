@@ -5,13 +5,16 @@ Three families are supported:
 * ``logarithmic`` -- the singular Flory-Huggins well, whose derivative blows
   up at the pure states +-1 and thereby confines the order parameter,
 * ``polynomial``  -- the smooth quartic approximation (1 - r^2)^2 / 4,
-* ``regularized`` -- the logarithmic well with its convex part extended
-  linearly (in the derivative) outside |r| <= 1 - kappa, so that it is
-  defined and smooth on the whole real line.
+* ``regularized`` -- the logarithmic well with its convex part F continued
+  outside |r| <= 1 - kappa by its second-order Taylor polynomial at
+  +-(1 - kappa) (Copetti & Elliott, Numer. Math. 63, 1992), so that it is
+  defined and C^2 on the whole real line.
 
 Every well splits as ``W(r) = F(r) - 0.5 * split_coefficient * r**2`` with F
 convex; the time steppers treat F implicitly and the concave remainder
-explicitly, so the split is part of the public contract.
+explicitly, so the split is part of the public contract.  The methods
+compute on arrays: array input gives an ndarray, scalar input a NumPy
+float64 (a float).
 """
 
 from __future__ import annotations
@@ -38,14 +41,6 @@ class PotentialDomainError(ValueError):
 
 class PotentialSingularityError(ValueError):
     """Derivative requested at or beyond the singular points +-1."""
-
-
-def _wrap(raw, template):
-    """Return a scalar for scalar input, an ndarray otherwise; `template` is
-    the argument after np.asarray."""
-    if template.ndim == 0:
-        return float(raw)
-    return np.asarray(raw, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -94,33 +89,35 @@ class DoubleWell:
         """Convex part F(r); finite limit values at r = +-1."""
         r = np.asarray(r, dtype=float)
         if self.kind == POLYNOMIAL:
-            return _wrap(0.25 * (1.0 + r**4), r)
+            return 0.25 * (1.0 + r**4)
         if self.kind == LOGARITHMIC:
             if np.abs(r).max() > 1.0:
                 raise PotentialDomainError("logarithmic well needs |r| <= 1")
-            return _wrap(self._log_f(r), r)
-        return _wrap(self._reg_f(r), r)
+            return self._log_f(r)
+        c, d = self._edge_split(r)
+        return self._log_f(c) + self._log_fp(c) * d + 0.5 * self._log_fpp(c) * d**2
 
     def convex_deriv(self, r):
         """F'(r); for the regularized kind this is the extended derivative."""
         r = np.asarray(r, dtype=float)
         if self.kind == POLYNOMIAL:
-            return _wrap(r**3, r)
+            return r**3
         if self.kind == LOGARITHMIC:
             self._check_open_interval(r)
-            return _wrap(self._log_fp(r), r)
-        return _wrap(self._reg_fp(r), r)
+            return self._log_fp(r)
+        c, d = self._edge_split(r)
+        return self._log_fp(c) + self._log_fpp(c) * d
 
     def convex_second(self, r):
         """F''(r); clamped to the inner interval for the regularized kind."""
         r = np.asarray(r, dtype=float)
         if self.kind == POLYNOMIAL:
-            return _wrap(3.0 * r**2, r)
+            return 3.0 * r**2
         if self.kind == LOGARITHMIC:
             self._check_open_interval(r)
-            return _wrap(self._log_fpp(r), r)
-        rc = np.clip(r, -1.0 + self.kappa, 1.0 - self.kappa)
-        return _wrap(self._log_fpp(rc), r)
+        else:
+            r = self._edge_split(r)[0]
+        return self._log_fpp(r)
 
     # -- the well itself --------------------------------------------------
 
@@ -128,24 +125,17 @@ class DoubleWell:
         """W(r) = F(r) - 0.5 * split_coefficient * r^2."""
         r = np.asarray(r, dtype=float)
         if self.kind == POLYNOMIAL:
-            return _wrap(0.25 * (1.0 - r**2) ** 2, r)
-        return _wrap(
-            np.asarray(self.convex_value(r)) - 0.5 * self.split_coefficient * r**2, r
-        )
+            return 0.25 * (1.0 - r**2) ** 2
+        return self.convex_value(r) - 0.5 * self.split_coefficient * r**2
 
     def deriv(self, r):
         """W'(r)."""
         r = np.asarray(r, dtype=float)
-        return _wrap(
-            np.asarray(self.convex_deriv(r)) - self.split_coefficient * r, r
-        )
+        return self.convex_deriv(r) - self.split_coefficient * r
 
     def second(self, r):
         """W''(r)."""
-        r = np.asarray(r, dtype=float)
-        return _wrap(
-            np.asarray(self.convex_second(r)) - self.split_coefficient, r
-        )
+        return self.convex_second(r) - self.split_coefficient
 
     def regularized(self, kappa: float) -> "DoubleWell":
         """The kappa-regularized companion of a logarithmic well."""
@@ -174,27 +164,11 @@ class DoubleWell:
     def _log_fpp(self, r):
         return self.theta / ((1.0 - r) * (1.0 + r))
 
-    # -- regularized branch helpers ---------------------------------------
+    # -- regularized branch helper -----------------------------------------
 
-    def _reg_fp(self, r):
+    def _edge_split(self, r):
+        """(c, r - c) with c = r clipped to |c| <= 1 - kappa: the point where
+        the regularized well's Taylor polynomial is taken, and the offset."""
         edge = 1.0 - self.kappa
-        fp_edge = self._log_fp(edge)
-        fpp_edge = self._log_fpp(edge)
-        inner = self._log_fp(np.clip(r, -edge, edge))
-        upper = fp_edge + fpp_edge * (r - edge)
-        lower = -fp_edge + fpp_edge * (r + edge)
-        return np.where(r > edge, upper, np.where(r < -edge, lower, inner))
-
-    def _reg_f(self, r):
-        # Integrating the linear extension of F' gives explicit quadratics
-        # outside |r| <= 1 - kappa.
-        edge = 1.0 - self.kappa
-        f_edge = self._log_f(edge)
-        fp_edge = self._log_fp(edge)
-        fpp_edge = self._log_fpp(edge)
-        inner = self._log_f(np.clip(r, -edge, edge))
-        du = r - edge
-        dl = r + edge
-        upper = f_edge + fp_edge * du + 0.5 * fpp_edge * du**2
-        lower = f_edge - fp_edge * dl + 0.5 * fpp_edge * dl**2
-        return np.where(r > edge, upper, np.where(r < -edge, lower, inner))
+        c = np.clip(r, -edge, edge)
+        return c, r - c

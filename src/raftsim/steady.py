@@ -36,7 +36,7 @@ class NonConvergenceError(RuntimeError):
 def _residual_field(grid, potential, phi):
     """-lap(phi) + W'(phi) - <W'(phi)>, the L2 gradient of the energy on
     the mean-m slice."""
-    wp = np.asarray(potential.deriv(phi))
+    wp = potential.deriv(phi)
     return -grid.laplacian(phi) + wp - grid.mean(wp)
 
 
@@ -50,12 +50,11 @@ def _step_solver(grid):
     (K^-1/dt + J) delta = rhs on the mean-free slice, where K = -lap and
     J = -lap + W''(phi) with wpp = W''(phi); None if GMRES fails."""
     ksq = -grid.lap_symbol
-    kinv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
 
     if grid.solves_densely:
         # ksq_mat's zero mode 1 keeps the system nonsingular; W'' is
         # indefinite, so LU, not Cholesky
-        kinv_mat = grid.circulant(kinv)
+        kinv_mat = grid.circulant(grid.inv_ksq)
         ksq_mat = grid.circulant(np.where(ksq > 0, ksq, 1.0))
 
         def solve(wpp, rhs, dt):
@@ -69,7 +68,7 @@ def _step_solver(grid):
     zero = (0,) * ksq.ndim
 
     def solve(wpp, rhs, dt):
-        sym = kinv / dt + ksq
+        sym = grid.inv_ksq / dt + ksq
         shift = max(0.5 * (float(wpp.min()) + float(wpp.max())), -0.9 * kmin_sq)
         prec_sym = sym + shift
         prec_sym[zero] = 1.0
@@ -142,7 +141,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     for _ in range(_MAX_STEPS):
         if res <= tol:
             break
-        dphi = solve(np.asarray(potential.second(phi)), -res_field, dt)
+        dphi = solve(potential.second(phi), -res_field, dt)
         if dphi is not None:
             dphi -= grid.mean(dphi)
             if grid.integral(res_field * dphi) >= 0.0:
@@ -208,7 +207,7 @@ class EquilibriumSolution:
         mass = self.omega_measure * self.u_inf + g.integral(self.v_inf.values)
         if abs(mass - self.total_mass) > 1e-10 * scale:
             raise ValueError("equilibrium violates the combined mass relation")
-        wp_mean = g.mean(np.asarray(potential.deriv(self.phi_inf.values)))
+        wp_mean = g.mean(potential.deriv(self.phi_inf.values))
         if abs(0.5 * self.eta_inf + self.mu_inf - wp_mean) > 1e-10 * max(1.0, abs(wp_mean)):
             raise ValueError("chemical potential relation violated")
         eta_rhs = (4.0 * self.v_total
@@ -247,7 +246,7 @@ def postprocess_constants(phi_inf: SurfaceField, total_mass: float,
     # 2 v - phi is constant; fix the constant from the prescribed total of v.
     const = (2.0 * v_total - phi0_mass) / gamma
     v_inf = SurfaceField(g, 0.5 * (phi_inf.values + const))
-    wp_mean = g.mean(np.asarray(potential.deriv(phi_inf.values)))
+    wp_mean = g.mean(potential.deriv(phi_inf.values))
     mu_inf = wp_mean - 0.5 * eta_inf
 
     sol = EquilibriumSolution(

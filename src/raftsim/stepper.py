@@ -68,8 +68,8 @@ class StepperConfig:
 
     def __post_init__(self):
         # `not x > 0` refuses NaN too, for which `x <= 0` is False
-        if not self.dt > 0.0:
-            raise ValueError("dt must be positive")
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if not self.newton_tol > 0.0:
             raise ValueError("newton_tol must be positive")
         if self.newton_max_iters < 0:
@@ -78,6 +78,9 @@ class StepperConfig:
             raise ValueError("dt_min must be positive")
         if self.dt_min is not None and self.dt_min > self.dt:
             raise ValueError("dt_min cannot exceed dt")
+        # run checks 0 < kappa_fallback < r0 where a well needs the fallback
+        if not np.isfinite(self.kappa_fallback):
+            raise ValueError("kappa_fallback must be finite")
 
     @property
     def dt_floor(self) -> float:
@@ -93,9 +96,9 @@ class Schedule:
     def __post_init__(self):
         if not 0.0 <= self.t_final < np.inf:
             raise ValueError("t_final must be finite and >= 0")
-        if self.sample_stride < 1:
+        if not self.sample_stride >= 1:
             raise ValueError("sample_stride must be >= 1")
-        if self.checkpoint_stride < 0:
+        if not self.checkpoint_stride >= 0:
             raise ValueError("checkpoint_stride must be >= 0")
 
 
@@ -139,12 +142,10 @@ def _step_operators(grid, delta, dt):
     symbols = [ksq, dt * ksq, b_sym, c_sym, schur_sym, b_sym / c_sym]
     g_mat = h_sym = None
     if grid.solves_densely:
-        h_sym = np.zeros_like(ksq)
-        h_sym[1:] = 1.0 / ksq[1:]
-        g_sym = schur_sym * h_sym
+        g_sym = schur_sym * grid.inv_ksq
         g_sym[0] = 1.0
         g_mat = grid.circulant(g_sym)
-        h_sym = h_sym.astype(complex)
+        h_sym = grid.inv_ksq.astype(complex)
     ops = (*(sym.astype(complex) for sym in symbols),
            grid.fft(np.ones(grid.shape)), g_mat, h_sym)
     for arr in ops:
@@ -200,7 +201,7 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         #   eta = 2/delta (2 v - 1 - phi)
         #   mu = k^2 phi + F'(phi) - theta0 phi_n - eta/2
         #   r1 = phi - phi_n + dt k^2 mu,  r2 = v - v_n + dt k^2 eta - dt q
-        fp_h = fft(np.asarray(potential.convex_deriv(phi)))
+        fp_h = fft(potential.convex_deriv(phi))
         eta_h = 2.0 * v_h
         eta_h -= one_h
         eta_h -= phi_h
@@ -235,7 +236,7 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
                 f"after {iteration} iterations (dt={dt:g})"
             )
 
-        fpp = np.asarray(potential.convex_second(phi))
+        fpp = potential.convex_second(phi)
         rhs_h = -r1_h + b_over_c * r2_h
         if g_mat is not None:
             mat = mean_free_matrix(g_mat, fpp, dt)

@@ -30,7 +30,8 @@ class SurfaceGrid:
 
     Instances are immutable; all cached arrays are read-only.  Node layout:
     circle -> shape (n,) at angles 2*pi*j/n; torus -> shape (nx, ny) at
-    (j*lx/nx, k*ly/ny).
+    (j*lx/nx, k*ly/ny).  inv_ksq is the symbol 1/|k|^2 in rfft layout, with
+    zero mode 0: the inverse of -lap on mean-free fields.
     """
 
     def __init__(self, kind, shape, lengths):
@@ -77,8 +78,8 @@ class SurfaceGrid:
         inv = np.zeros_like(ksq)
         nonzero = ksq > 0
         inv[nonzero] = 1.0 / ksq[nonzero]
-        self._inv_ksq = inv
-        for arr in (self._ksq, self._dbl, self._parseval, self._inv_ksq):
+        self.inv_ksq = inv
+        for arr in (self._ksq, self._dbl, self._parseval, self.inv_ksq):
             arr.setflags(write=False)
 
     @classmethod
@@ -188,18 +189,14 @@ class SurfaceGrid:
     def laplacian(self, values):
         return self.ifft(-self._ksq * self.fft(values))
 
+    def _check_mean_free(self, values, what):
+        if abs(self.mean(values)) > 1e-10 * self.l2_norm(values):
+            raise MeanFreeError(f"{what} needs a mean-free field")
+
     def inverse_laplacian(self, values):
         """Mean-free g with laplacian(g) = values; rejects fields with mass."""
-        norm = self.l2_norm(values)
-        if abs(self.mean(values)) > 1e-10 * norm:
-            raise MeanFreeError("inverse Laplacian needs a mean-free field")
-        coeffs = self.fft(values)
-        coeffs = coeffs * (-self._inv_ksq)
-        if self.kind == CIRCLE:
-            coeffs[0] = 0.0
-        else:
-            coeffs[0, 0] = 0.0
-        return self.ifft(coeffs)
+        self._check_mean_free(values, "inverse Laplacian")
+        return self.ifft(self.fft(values) * -self.inv_ksq)
 
     def integral(self, values):
         return float(np.asarray(values).sum()) * self.node_weight
@@ -219,12 +216,10 @@ class SurfaceGrid:
 
     def hminus1_norm(self, values):
         """Dual-space norm ||grad^-1 f||_L2 of a mean-free field."""
-        norm = self.l2_norm(values)
-        if abs(self.mean(values)) > 1e-10 * norm:
-            raise MeanFreeError("H^-1 norm needs a mean-free field")
+        self._check_mean_free(values, "H^-1 norm")
         coeffs = self.fft(values)
         return math.sqrt(
-            (self._parseval * self._inv_ksq * np.abs(coeffs) ** 2).sum())
+            (self._parseval * self.inv_ksq * np.abs(coeffs) ** 2).sum())
 
     def spectral_l2_sq(self, values):
         """Parseval form of the squared L2 norm (equals quadrature exactly)."""

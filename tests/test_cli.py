@@ -347,3 +347,20 @@ def test_experiment_rejects_unsuitable_config(tmp_path, capsys, command, text,
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_full_system_refuses_omega_measure(tmp_path, capsys):
+    # the full system's bulk is the unit disk; the key used to be accepted,
+    # ignored by the run and still counted in param_hash
+    text = test_experiments.TINY_FULL + "[params]\nomega_measure = 2\n"
+    path = tmp_path / "full.ini"
+    path.write_text(text)
+    code = main(["run-full", "--config", str(path),
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    line = len(text.splitlines())
+    assert (f"line {line}: the full system's bulk is the unit disk: "
+            "params.omega_measure must be pi") in capsys.readouterr().err
+    # pi, as resolved_config.ini writes it, is accepted
+    pi_text = test_experiments.TINY_FULL + f"[params]\nomega_measure = {np.pi!r}\n"
+    assert h.parse_config(pi_text) == h.parse_config(test_experiments.TINY_FULL)

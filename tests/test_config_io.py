@@ -94,7 +94,10 @@ def config_documents(draw):
         put("exchange", key, draw(_floats(1e-3, 1e3)))
 
     for key in config._SCHEMA["params"]:
-        put("params", key, draw(_floats(1e-3, 1e3)))
+        # a full-system document may set omega_measure only to pi, the
+        # volume of its unit-disk bulk
+        fixed = key == "omega_measure" and geometry == "disk"
+        put("params", key, np.pi if fixed else draw(_floats(1e-3, 1e3)))
 
     dt = draw(_floats(1e-6, 1.0))
     put("stepper", "dt", dt, False)

@@ -292,3 +292,30 @@ def test_validation():
         rs.ReducedState.from_mass(
             0.0, phi, rs.SurfaceField.constant(rs.SurfaceGrid.circle(32), 0.5),
             total_mass=1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: rs.Params(D=NAN),
+    lambda: rs.Params(D=float("inf")),
+    lambda: rs.Params(delta=NAN),
+    lambda: rs.ReactionExchange(b1=NAN),
+    lambda: rs.EquilibriumExchange(a0=NAN),
+    lambda: rs.EquilibriumExchange(alpha=NAN),
+    lambda: rs.CutoffReactionExchange(h0=NAN),
+    # the mass relation holds for any u when omega_measure is 0
+    lambda: rs.ReducedState(0.0, 1.0, rs.SurfaceField.constant(CIRCLE, 0.0),
+                            rs.SurfaceField.constant(CIRCLE, 0.5),
+                            total_mass=np.pi, omega_measure=0.0),
+    lambda: rs.ReducedState(0.0, NAN, rs.SurfaceField.constant(CIRCLE, 0.0),
+                            rs.SurfaceField.constant(CIRCLE, 0.5),
+                            total_mass=0.0),
+], ids=["D_nan", "D_inf", "delta_nan", "b1_nan", "a0_nan", "alpha_nan",
+        "h0_nan", "omega_measure_zero", "u_nan"])
+def test_refuses_values_that_cannot_run(build):
+    # each was accepted, and a run from it ended in a non-finite surface
+    # field or a ZeroDivisionError
+    with pytest.raises(ValueError):
+        build()

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import xlogy
 
 from raftsim.potentials import (
+    LOGARITHMIC,
+    POLYNOMIAL,
+    REGULARIZED,
     DoubleWell,
     PotentialDomainError,
     PotentialSingularityError,
@@ -150,3 +154,59 @@ def test_split_coefficient():
     for pot in (LOG, POLY, REG):
         recon = pot.convex_value(r) - 0.5 * pot.split_coefficient * r**2
         assert np.allclose(recon, pot.value(r), rtol=0.0, atol=1e-14)
+
+
+def _three_branch_regularized(theta, kappa, r):
+    """F, F' and F'' of the regularized well written as an inner
+    logarithmic branch and two quadratic branches joined by np.where."""
+    def f(x):
+        return 0.5 * theta * (xlogy(1.0 - x, 1.0 - x) + xlogy(1.0 + x, 1.0 + x))
+
+    def fp(x):
+        return 0.5 * theta * (np.log1p(x) - np.log1p(-x))
+
+    def fpp(x):
+        return theta / ((1.0 - x) * (1.0 + x))
+
+    edge = 1.0 - kappa
+    f_e, fp_e, fpp_e = f(edge), fp(edge), fpp(edge)
+    inner = np.clip(r, -edge, edge)
+    du, dl = r - edge, r + edge
+    value = np.where(r > edge, f_e + fp_e * du + 0.5 * fpp_e * du**2,
+                     np.where(r < -edge, f_e - fp_e * dl + 0.5 * fpp_e * dl**2,
+                              f(inner)))
+    deriv = np.where(r > edge, fp_e + fpp_e * du,
+                     np.where(r < -edge, -fp_e + fpp_e * dl, fp(inner)))
+    second = fpp(np.clip(r, -1.0 + kappa, 1.0 - kappa))
+    return value, deriv, second
+
+
+@given(st.floats(-5.0, 5.0), st.floats(1e-5, 0.4))
+@example(0.9, 0.1)
+@example(-0.9, 0.1)
+@example(-0.0, 0.1)
+@settings(max_examples=200, deadline=None)
+def test_reg_equals_three_branch_form(r, kappa):
+    # the Taylor extension at the clipped point gives every branch bit for
+    # bit (array_equal counts -0.0 and 0.0 as equal)
+    reg = DoubleWell(kind="regularized", theta=0.8, theta0=2.5, kappa=kappa)
+    x = np.array([r, -r, 0.5 * r])
+    want = _three_branch_regularized(reg.theta, kappa, x)
+    got = (reg.convex_value(x), reg.convex_deriv(x), reg.convex_second(x))
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", [LOGARITHMIC, POLYNOMIAL, REGULARIZED])
+@pytest.mark.parametrize("method", ["convex_value", "convex_deriv",
+                                    "convex_second", "value", "deriv",
+                                    "second"])
+def test_scalar_in_float_out_array_in_array_out(kind, method):
+    well = DoubleWell(kind=kind, kappa=0.1 if kind == REGULARIZED else 0.0)
+    evaluate = getattr(well, method)
+    scalar = evaluate(0.3)
+    assert isinstance(scalar, float) and not isinstance(scalar, np.ndarray)
+    for shape in ((5,), (4, 6)):
+        out = evaluate(np.full(shape, 0.3))
+        assert isinstance(out, np.ndarray) and out.shape == shape
+        assert out.flat[0] == scalar

@@ -4,6 +4,7 @@ from scipy.linalg import null_space
 
 import raftsim as rs
 import raftsim.harness as h
+import raftsim.steady as steady_mod
 from conftest import lowpass_field
 from raftsim.steady import _step_solver
 
@@ -130,6 +131,25 @@ def test_stable_constant_attracts():
     sol = rs.solve_stationary_phi(CIRCLE, pot, 0.0, init, tol=1e-10)
     assert np.ptp(sol.values) <= 1e-8
     assert rs.steady_residual(sol, pot) <= 1e-10
+
+
+def test_stable_constant_attracts_on_torus(monkeypatch):
+    # tori take the Krylov branch of _step_solver
+    calls = []
+    original = steady_mod.gmres
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(steady_mod, "gmres", counted)
+    torus = rs.SurfaceGrid.torus(8, 8)
+    pot = rs.DoubleWell(theta=1.0, theta0=1.5)  # W''(0) = -0.5 > -1
+    init = lowpass_field(torus, 1, 0.3)
+    sol = rs.solve_stationary_phi(torus, pot, 0.0, init, tol=1e-10)
+    assert calls
+    assert rs.steady_residual(sol, pot) <= 1e-10
+    assert np.ptp(sol.values) <= 1e-8
 
 
 def test_random_field_is_not_a_solution():

@@ -766,8 +766,16 @@ def test_config_validation():
     lambda: rs.Schedule(t_final=float("nan")),
     # run raised OverflowError
     lambda: rs.Schedule(t_final=float("inf")),
+    # run recorded 2 samples instead of one per step
+    lambda: rs.Schedule(t_final=1.0, sample_stride=float("nan")),
+    # run wrote no checkpoint
+    lambda: rs.Schedule(t_final=1.0, checkpoint_stride=float("nan")),
+    lambda: rs.StepperConfig(dt=float("inf")),
+    # refused only by a logarithmic well's run, at its start
+    lambda: rs.StepperConfig(dt=1e-3, kappa_fallback=float("nan")),
 ], ids=["newton_tol_nan", "dt_min_nan", "dt_nan", "newton_max_iters_negative",
-        "t_final_nan", "t_final_inf"])
+        "t_final_nan", "t_final_inf", "sample_stride_nan",
+        "checkpoint_stride_nan", "dt_inf", "kappa_fallback_nan"])
 def test_config_refuses_meaningless_values(build):
     with pytest.raises(ValueError):
         build()
