@@ -31,6 +31,13 @@ def _require_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_measure(omega_measure):
+    """Refuse a bulk measure that is not finite and positive."""
+    _require_finite(omega_measure=omega_measure)
+    if omega_measure <= 0.0:
+        raise ValueError(f"omega_measure must be positive, got {omega_measure!r}")
+
+
 # -- exchange laws -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -160,11 +167,8 @@ class ReducedState:
     def __post_init__(self):
         if self.phi.grid != self.v.grid:
             raise ValueError("phi and v must share one surface grid")
-        _require_finite(u=self.u, total_mass=self.total_mass,
-                        omega_measure=self.omega_measure)
-        if self.omega_measure <= 0.0:
-            raise ValueError(
-                f"omega_measure must be positive, got {self.omega_measure!r}")
+        _require_finite(u=self.u, total_mass=self.total_mass)
+        _require_measure(self.omega_measure)
         lhs = self.omega_measure * self.u + surface_integral(self.v)
         if abs(lhs - self.total_mass) > 1e-10 * max(1.0, abs(self.total_mass)):
             raise ValueError(
@@ -174,6 +178,7 @@ class ReducedState:
 
     @classmethod
     def from_mass(cls, t, phi, v, total_mass, omega_measure=math.pi):
+        _require_measure(omega_measure)  # before u divides by it
         u = reduced_u_from_mass(total_mass, v, omega_measure)
         return cls(t, u, phi, v, total_mass, omega_measure)
 

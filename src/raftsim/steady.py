@@ -17,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .potentials import DoubleWell, LOGARITHMIC, SEPARATION_MARGIN
-from .surface import SurfaceField, SurfaceGrid, mean_free_matrix
+from .surface import SurfaceField, SurfaceGrid, gmres, mean_free_matrix
 
 _MAX_STEPS = 500  # linear solves a stationary solve may take
 
@@ -48,7 +47,8 @@ def steady_residual(phi: SurfaceField, potential: DoubleWell) -> float:
 def _step_solver(grid):
     """Return solve(wpp, rhs, dt), the mean-free delta with
     (K^-1/dt + J) delta = rhs on the mean-free slice, where K = -lap and
-    J = -lap + W''(phi) with wpp = W''(phi); None if GMRES fails."""
+    J = -lap + W''(phi) with wpp = W''(phi); None if GMRES does not
+    converge."""
     ksq = -grid.lap_symbol
 
     if grid.solves_densely:
@@ -64,7 +64,6 @@ def _step_solver(grid):
 
     fft, ifft = grid.fft, grid.ifft
     kmin_sq = float(np.min(ksq[ksq > 0]))
-    n_flat = ksq.size
     zero = (0,) * ksq.ndim
 
     def solve(wpp, rhs, dt):
@@ -73,23 +72,16 @@ def _step_solver(grid):
         prec_sym = sym + shift
         prec_sym[zero] = 1.0
 
-        def matvec(x):
-            xh = x.reshape(ksq.shape).copy()
-            xh[zero] = 0.0
+        # every Krylov vector has a zero mode of 0, as rhs_h has
+        def matvec(xh):
             out = sym * xh + fft(wpp * ifft(xh))
             out[zero] = 0.0
-            return out.ravel()
+            return out
 
-        op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
-        prec = LinearOperator(
-            (n_flat, n_flat),
-            matvec=lambda x: (x.reshape(ksq.shape) / prec_sym).ravel(),
-            dtype=complex)
         rhs_h = fft(rhs)
         rhs_h[zero] = 0.0
-        sol, info = gmres(op, rhs_h.ravel(), rtol=1e-12, atol=0.0,
-                          restart=60, maxiter=300, M=prec)
-        return ifft(sol.reshape(ksq.shape)) if info == 0 else None
+        sol, _, ok = gmres(matvec, rhs_h, 1.0 / prec_sym, rtol=1e-12)
+        return ifft(sol) if ok else None
     return solve
 
 
@@ -113,10 +105,10 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     (K^-1/dt + J) delta = -F once on the mean-m slice, with K = -lap,
     J = -lap + W''(phi) and F the steady residual field; by a dense LU of
     the stepper's mean-free assembly (surface.mean_free_matrix) where the
-    grid solves densely, by GMRES otherwise.  dt starts at 0.05 and follows
-    switched evolution relaxation, dt <- dt ||F_old|| / ||F_new||, with the
-    factor clamped to [1.2, 10], so the loop turns into Newton's method near
-    a root.  A step is taken only if it descends the energy
+    grid solves densely, by surface.gmres otherwise.  dt starts at 0.05 and
+    follows switched evolution relaxation, dt <- dt ||F_old|| / ||F_new||,
+    with the factor clamped to [1.2, 10], so the loop turns into Newton's
+    method near a root.  A step is taken only if it descends the energy
     (<F, delta> < 0), else dt is halved; a non-finite candidate, one that
     raises ||F|| more than tenfold, or a failed Krylov solve cuts dt by 4.
     Iterates are damped to stay inside |phi| < 1 on the logarithmic well.

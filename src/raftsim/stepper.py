@@ -23,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dposv
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .bulk import bulk_grad_norm_sq, bulk_mean, diffusion_step, trace_boundary
 from .diagnostics import DiagnosticsRecord
@@ -41,7 +40,7 @@ from .model import (
     separation_margin,
 )
 from .potentials import LOGARITHMIC, SEPARATION_MARGIN
-from .surface import SurfaceField, mean_free_matrix, surface_integral
+from .surface import SurfaceField, gmres, mean_free_matrix, surface_integral
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -167,11 +166,14 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     G = K^+ S (zero mode 1) and P the mean-free projector
     (surface.mean_free_matrix), by dense Cholesky: F'' >= 0 makes it SPD,
     and a failed factorization raises NewtonDivergenceError.  Elsewhere
-    GMRES solves the system to rtol 1e-12, preconditioned with the midpoint
-    constant-coefficient symbol.  Near the pure states F'' spans orders of
-    magnitude and that GMRES breaks down, which the dense path avoids.  The
-    iterate is carried in Fourier space (phi also at the nodes, for F' and
-    the damping by halving), so a residual transforms only F'(phi).
+    surface.gmres solves the system to rtol 1e-12, right-preconditioned with
+    the midpoint constant-coefficient symbol, and a direction it does not
+    converge raises NewtonDivergenceError.  Near the pure states F'' spans
+    orders of magnitude and GMRES takes tens of operator applications a
+    direction, which is why circles solve densely (see
+    SurfaceGrid.solves_densely).  The iterate is carried in Fourier space
+    (phi also at the nodes, for F' and the damping by halving), so a
+    residual transforms only F'(phi).
 
     Newton stops once max|r1| and max|r2| at the nodes are <= newton_tol.
     SurfaceGrid.ifft_within decides that from the residual's coefficients,
@@ -217,7 +219,6 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
         r2_h -= dt_q_h
         return r1_h, r2_h
 
-    n_flat = schur_sym.size
     for iteration in range(cfg.newton_max_iters + 1):
         r1_h, r2_h = residual(phi, phi_h, v_h)
         converged = grid.ifft_within(cfg.newton_tol, r1_h, r2_h)
@@ -255,27 +256,21 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
             dphi_h = fft(dphi)
         else:
             cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))
-            # x * (1/p) is bitwise x / p: NumPy divides by a complex with
-            # zero imaginary part exactly so
-            inv_precond = (1.0 / (schur_sym + dt_ksq * cmid)).ravel()
+            inv_precond = 1.0 / (schur_sym + dt_ksq * cmid)
 
-            def matvec(x):
-                xh = x.reshape(schur_sym.shape)
+            def matvec(xh):
                 prod_h = fft(fpp * ifft(xh))
                 out = schur_sym * xh
                 out += np.multiply(dt_ksq, prod_h, out=prod_h)
-                return out.ravel()
+                return out
 
-            op = LinearOperator((n_flat, n_flat), matvec=matvec, dtype=complex)
-            prec = LinearOperator((n_flat, n_flat), dtype=complex,
-                                  matvec=lambda x: x * inv_precond)
-            sol, info = gmres(op, rhs_h.ravel(), rtol=1e-12, atol=0.0,
-                              restart=60, maxiter=300, M=prec)
-            if info != 0:
+            dphi_h, applications, ok = gmres(matvec, rhs_h, inv_precond,
+                                             rtol=1e-12)
+            if not ok:
                 raise NewtonDivergenceError(
-                    f"GMRES failed to reach tolerance (info={info}, dt={dt:g})"
+                    f"GMRES failed to reach tolerance after {applications} "
+                    f"operator applications (dt={dt:g})"
                 )
-            dphi_h = sol.reshape(schur_sym.shape)
             dphi = ifft(dphi_h)
         dv_h = (-r2_h - b_sym * dphi_h) / c_sym
 

@@ -1,8 +1,23 @@
 """Shared builders for the test suite."""
 
+import warnings
+
 import numpy as np
 
 import raftsim as rs
+
+# Hypothesis reports a failing example through hypothesis.extra._patching,
+# whose libcst import subclasses the deprecated mypy_extensions.TypedDict.
+# Under -W error::DeprecationWarning that import raised inside the plugin and
+# aborted the session; imported once here, with only that warning ignored,
+# the report finds it loaded.  Without libcst the plugin skips the report.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", "mypy_extensions.TypedDict is deprecated",
+                            DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def lowpass_field(grid, seed, amplitude, cutoff=6, mean=0.0):

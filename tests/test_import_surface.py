@@ -8,7 +8,7 @@ import raftsim
 # SciPy subpackages that importing raftsim may pull in.  The benchmark's
 # set-up time is almost all NumPy and SciPy import, so a new subpackage
 # shows there as a regression.
-ALLOWED = {"fft", "linalg", "sparse", "special", "version"}
+ALLOWED = {"fft", "linalg", "special", "version"}
 
 
 def test_scipy_subpackages_imported():

@@ -309,11 +309,15 @@ NAN = float("nan")
     lambda: rs.ReducedState(0.0, 1.0, rs.SurfaceField.constant(CIRCLE, 0.0),
                             rs.SurfaceField.constant(CIRCLE, 0.5),
                             total_mass=np.pi, omega_measure=0.0),
+    lambda: rs.ReducedState.from_mass(0.0, rs.SurfaceField.constant(CIRCLE, 0.0),
+                                      rs.SurfaceField.constant(CIRCLE, 0.5),
+                                      total_mass=np.pi, omega_measure=0.0),
     lambda: rs.ReducedState(0.0, NAN, rs.SurfaceField.constant(CIRCLE, 0.0),
                             rs.SurfaceField.constant(CIRCLE, 0.5),
                             total_mass=0.0),
 ], ids=["D_nan", "D_inf", "delta_nan", "b1_nan", "a0_nan", "alpha_nan",
-        "h0_nan", "omega_measure_zero", "u_nan"])
+        "h0_nan", "omega_measure_zero", "from_mass_omega_measure_zero",
+        "u_nan"])
 def test_refuses_values_that_cannot_run(build):
     # each was accepted, and a run from it ended in a non-finite surface
     # field or a ZeroDivisionError

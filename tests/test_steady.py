@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -7,6 +9,7 @@ import raftsim.harness as h
 import raftsim.steady as steady_mod
 from conftest import lowpass_field
 from raftsim.steady import _step_solver
+from raftsim.surface import gmres
 
 CIRCLE = rs.SurfaceGrid.circle(64)
 POT = rs.DoubleWell(theta=1.0, theta0=2.5)
@@ -150,6 +153,34 @@ def test_stable_constant_attracts_on_torus(monkeypatch):
     assert calls
     assert rs.steady_residual(sol, pot) <= 1e-10
     assert np.ptp(sol.values) <= 1e-8
+
+
+@pytest.mark.parametrize("m", [0.0, 0.2])
+def test_torus_pattern_converges(m, monkeypatch):
+    # SciPy's GMRES took 47 s at m = 0 and did not finish at m = 0.2 here
+    applications = []
+
+    def counted(*args, **kwargs):
+        out = gmres(*args, **kwargs)
+        applications.append(out[1])
+        return out
+
+    monkeypatch.setattr(steady_mod, "gmres", counted)
+    torus = rs.SurfaceGrid.torus(16, 16)
+    init = lowpass_field(torus, 3, 0.3)
+    sol = rs.solve_stationary_phi(torus, POT, m, init, tol=1e-10)
+    assert rs.steady_residual(sol, POT) <= 1e-10
+    assert np.ptp(sol.values) > 1.0  # a pattern, not the constant state
+    assert len(applications) <= 60 and sum(applications) <= 2000
+
+
+def test_capped_krylov_solve_cuts_dt(monkeypatch):
+    monkeypatch.setattr(steady_mod, "gmres",
+                        partial(gmres, restart=2, maxiter=1))
+    torus = rs.SurfaceGrid.torus(16, 16)
+    phi = lowpass_field(torus, 3, 0.3).values
+    rhs = -steady_mod._residual_field(torus, POT, phi)
+    assert _step_solver(torus)(POT.second(phi), rhs, 0.05) is None
 
 
 def test_random_field_is_not_a_solution():

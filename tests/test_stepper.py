@@ -1,6 +1,7 @@
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import raftsim as rs
 import raftsim.stepper as stepper_mod
 from raftsim.harness.config import parse_config
+from raftsim.surface import gmres
 from conftest import full_state, lowpass_field, reduced_state
 
 CIRCLE = rs.SurfaceGrid.circle(64)
@@ -313,6 +315,57 @@ def test_converging_solve_transforms_directions_only(grid, monkeypatch):
         st.v.values, q.values, cfg)
     assert iters >= 2
     assert calls[0] == iters + 1
+
+
+def test_krylov_directions_meet_tolerance(monkeypatch):
+    # right preconditioning keeps the Arnoldi residual, on which the kernel
+    # stops at rtol 1e-12, equal to the true one up to round-off
+    st, params, cfg, q = _krylov_case(rs.SurfaceGrid.torus(16, 16))
+    ratios = []
+
+    def checked(matvec, b, *args, **kwargs):
+        x, applications, converged = gmres(matvec, b, *args, **kwargs)
+        ratios.append(np.linalg.norm(b - matvec(x)) / np.linalg.norm(b))
+        return x, applications, converged
+
+    monkeypatch.setattr(stepper_mod, "gmres", checked)
+    stepper_mod._solve_surface(st.phi.grid, params.potential, params.delta,
+                               cfg.dt, st.phi.values, st.v.values, q.values,
+                               cfg)
+    assert ratios and max(ratios) <= 2e-12
+
+
+def test_capped_krylov_solve_fails_the_step(monkeypatch):
+    # an unconverged direction raises, so dt halving takes over
+    st, params, cfg, q = _krylov_case(rs.SurfaceGrid.torus(16, 16))
+    monkeypatch.setattr(stepper_mod, "gmres",
+                        partial(gmres, restart=2, maxiter=1))
+    with pytest.raises(rs.NewtonDivergenceError, match="GMRES"):
+        stepper_mod._solve_surface(st.phi.grid, params.potential,
+                                   params.delta, cfg.dt, st.phi.values,
+                                   st.v.values, q.values, cfg)
+
+
+def test_near_separation_torus_krylov_work(monkeypatch):
+    # the 32^2 logarithmic torus separates to max|phi| 0.998 by t = 1.5:
+    # F'' then spans four decades, and SciPy's GMRES, with a complex inner
+    # product and a left preconditioner, took 34 432 applications here
+    grid = rs.SurfaceGrid.torus(32, 32)
+    params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=4.5),
+                       exchange=rs.ReactionExchange(b1=0.2, b2=0.2))
+    st = reduced_state(grid, seed=21, amplitude=0.5, cutoff=6)
+    applications = []
+
+    def counted(*args, **kwargs):
+        out = gmres(*args, **kwargs)
+        applications.append(out[1])
+        return out
+
+    monkeypatch.setattr(stepper_mod, "gmres", counted)
+    traj = rs.run(st, params, rs.StepperConfig(dt=1e-2),
+                  rs.Schedule(t_final=1.5, sample_stride=150))
+    assert np.abs(traj.final_state.phi.values).max() > 0.998
+    assert sum(applications) <= 5000
 
 
 def test_nonfinite_residual_fails_at_once(monkeypatch):

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import raftsim as rs
-from raftsim.surface import MeanFreeError
+from raftsim.surface import MeanFreeError, gmres
 
 
 @pytest.fixture(scope="module")
@@ -242,3 +242,41 @@ def test_circulant_matches_operator(circle, operator):
         inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
         mat, want = circle.circulant(inv), -circle.inverse_laplacian(f)
     assert np.max(np.abs(mat @ f - want)) <= 1e-11
+
+
+def _multiplier_system(grid, seed):
+    # a Fourier multiplier with a wide spread plus a node-wise product: the
+    # shape of the stepper's Newton operator, real-linear through irfft
+    rng = np.random.default_rng(seed)
+    sym = 1.0 + (-grid.lap_symbol) ** 2
+    weight = 10.0 ** (3.0 * rng.random(grid.shape))
+
+    def matvec(xh):
+        return sym * xh + grid.fft(weight * grid.ifft(xh))
+
+    return matvec, grid.fft(rng.standard_normal(grid.shape)), 1.0 / (sym + 500.0)
+
+
+def test_gmres_zero_rhs_returns_zero(torus):
+    matvec, b, inv_precond = _multiplier_system(torus, 1)
+    x, applications, converged = gmres(matvec, np.zeros_like(b), inv_precond,
+                                       rtol=1e-12)
+    assert converged and applications == 0
+    assert not x.any() and x.shape == b.shape
+
+
+@pytest.mark.parametrize("restart", [60, 8])  # one cycle, and restarts
+def test_gmres_solves_real_linear_system(torus, restart):
+    matvec, b, inv_precond = _multiplier_system(torus, 2)
+    x, applications, converged = gmres(matvec, b, inv_precond, rtol=1e-12,
+                                       restart=restart)
+    assert converged and 0 < applications <= 100
+    assert np.linalg.norm(b - matvec(x)) <= 2e-12 * np.linalg.norm(b)
+
+
+def test_gmres_reports_a_capped_solve(torus):
+    matvec, b, inv_precond = _multiplier_system(torus, 2)
+    _, applications, converged = gmres(matvec, b, inv_precond, rtol=1e-12,
+                                       restart=2, maxiter=3)
+    assert not converged
+    assert applications == 3 * 2 + 2  # later cycles start on a true residual
