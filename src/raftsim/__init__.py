@@ -38,6 +38,7 @@ from .potentials import (
 from .steady import (
     EquilibriumSolution,
     NonConvergenceError,
+    StartStateError,
     postprocess_constants,
     solve_stationary_phi,
     steady_residual,

@@ -38,8 +38,7 @@ class DiskGrid:
         self.total_measure = np.pi
         # cell measure r_i * dr * dtheta; summing gives pi exactly
         self.cell_weight = self.radii * self.dr * self.dtheta
-        self.modes = np.arange(self.ntheta // 2 + 1, dtype=float)
-        for arr in (self.radii, self.faces, self.cell_weight, self.modes):
+        for arr in (self.radii, self.faces, self.cell_weight):
             arr.setflags(write=False)
 
     def __eq__(self, other):
@@ -110,7 +109,8 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     du_dr[0, :] = (-1.5 * u[0, :] + 2.0 * u[1, :] - 0.5 * u[2, :]) / g.dr
     du_dr[-1, :] = (1.5 * u[-1, :] - 2.0 * u[-2, :] + 0.5 * u[-3, :]) / g.dr
     uh = _fft.rfft(u, axis=1)[:, 1:-1]
-    ring_sq = (2.0 / g.ntheta) * ((uh.real**2 + uh.imag**2) @ g.modes[1:-1]**2)
+    ring_sq = (2.0 / g.ntheta) * ((uh.real**2 + uh.imag**2)
+                                  @ g.boundary.ksq[1:-1])
     return float((du_dr**2 * g.cell_weight[:, None]).sum()
                  + (ring_sq * g.cell_weight / g.radii**2).sum())
 
@@ -143,7 +143,7 @@ def _diffusion_factors(grid: DiskGrid, D: float, dt: float):
     a_in = alpha[:-1].copy()            # inner-face coefficient per cell
     a_out = alpha[1:].copy()            # outer-face coefficient per cell
     a_out[-1] = 0.0                     # outer flux prescribed, not solved
-    ksq = grid.modes**2
+    ksq = grid.boundary.ksq
     diag = (cell[:, None]
             + dt * (a_in + a_out)[:, None]
             + dt * D * ksq[None, :] * (grid.dr / r)[:, None])   # (nr, nk)

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from ..potentials import LOGARITHMIC
-from ..steady import NonConvergenceError, solve_stationary_phi, steady_residual
+from ..steady import (NonConvergenceError, StartStateError,
+                      solve_stationary_phi, steady_residual)
 from ..stepper import DtUnderflowError, NewtonDivergenceError, run, whole_steps
 from .config import ConfigError, parse_config, serialize_config
 from .experiments import (
@@ -119,6 +120,9 @@ def _cmd_steady(args):
     try:
         phi = solve_stationary_phi(grid, cfg.potential, m, state.phi,
                                    tol=cfg.stepper.newton_tol)
+    except StartStateError as exc:
+        raise ConfigError([(None, f"start state refused by the stationary "
+                                  f"solve: {exc}")]) from exc
     except NonConvergenceError as exc:
         print(f"stationary solve failed: {exc}", file=sys.stderr)
         return EXIT_SOLVER

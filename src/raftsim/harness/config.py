@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 import numpy as np
 
@@ -119,6 +120,14 @@ class RunConfig:
         if self.initial.kind == "file":
             from .io import read_snapshot
             state, _ = read_snapshot(self.initial.path)
+            held = (("full", state.u.grid) if isinstance(state, FullState)
+                    else ("reduced", state.phi.grid))
+            wanted = (self.system, self.build_disk_grid()
+                      or self.build_surface_grid())
+            if held != wanted:
+                raise ConfigError([(None, "initial.path holds a {} state on "
+                                    "{!r}; [run] and [geometry] ask for a {} "
+                                    "state on {!r}".format(*held, *wanted))])
             return state
         grid = self.build_surface_grid()
         phi_vals, v_vals = _initial_fields(grid, self.initial)
@@ -133,21 +142,17 @@ class RunConfig:
                             self.omega_measure)
 
 
+def lowpass_mask(grid, cutoff):
+    """The modes, in rfft layout, whose mode numbers are all at most `cutoff`
+    in size, the zero mode excepted."""
+    order = reduce(np.maximum, np.ix_(*(abs(m) for m in grid.axis_modes)))
+    return (order >= 1) & (order <= cutoff)
+
+
 def _lowpass_noise(grid, rng, cutoff):
     """Mean-free random field with integer modes up to `cutoff`, sup-norm 1."""
     noise = rng.standard_normal(grid.shape)
-    coeffs = grid.fft(noise)
-    if grid.kind == "circle":
-        n = grid.shape[0]
-        k = np.arange(n // 2 + 1)
-        mask = (k >= 1) & (k <= cutoff)
-    else:
-        nx, ny = grid.shape
-        kx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-        ky = np.abs(np.fft.rfftfreq(ny, d=1.0 / ny))
-        mask = (kx[:, None] <= cutoff) & (ky[None, :] <= cutoff)
-        mask[0, 0] = False
-    out = grid.ifft(coeffs * mask)
+    out = grid.ifft(grid.fft(noise) * lowpass_mask(grid, cutoff))
     peak = np.max(np.abs(out))
     if peak > 0.0:
         out /= peak

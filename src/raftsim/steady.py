@@ -24,6 +24,10 @@ from .surface import SurfaceField, SurfaceGrid, gmres, mean_free_matrix
 _MAX_STEPS = 500  # linear solves a stationary solve may take
 
 
+class StartStateError(ValueError):
+    """The stationary solve refuses its mean value or initial guess."""
+
+
 class NonConvergenceError(RuntimeError):
     """Stationary solve missed the residual target; carries the best value."""
 
@@ -44,12 +48,12 @@ def steady_residual(phi: SurfaceField, potential: DoubleWell) -> float:
     return phi.grid.l2_norm(_residual_field(phi.grid, potential, phi.values))
 
 
-def _step_solver(grid):
+def _step_solver(grid, kmin_sq):
     """Return solve(wpp, rhs, dt), the mean-free delta with
     (K^-1/dt + J) delta = rhs on the mean-free slice, where K = -lap and
     J = -lap + W''(phi) with wpp = W''(phi); None if GMRES does not
-    converge."""
-    ksq = -grid.lap_symbol
+    converge.  kmin_sq is the grid's smallest nonzero |k|^2."""
+    ksq = grid.ksq
 
     if grid.solves_densely:
         # ksq_mat's zero mode 1 keeps the system nonsingular; W'' is
@@ -63,7 +67,6 @@ def _step_solver(grid):
         return solve
 
     fft, ifft = grid.fft, grid.ifft
-    kmin_sq = float(np.min(ksq[ksq > 0]))
     zero = (0,) * ksq.ndim
 
     def solve(wpp, rhs, dt):
@@ -85,14 +88,13 @@ def _step_solver(grid):
     return solve
 
 
-def _unstable_constant(grid, potential, phi, init_vals):
+def _unstable_constant(grid, potential, phi, init_vals, kmin_sq):
     """True when the solve collapsed a genuinely varying guess onto a
-    constant state that is linearly unstable (smallest nonzero mode k has
-    k^2 + W''(m) < 0), i.e. onto a saddle the conservative flow would leave."""
+    constant state that is linearly unstable (kmin_sq + W''(m) < 0, with
+    kmin_sq the smallest nonzero |k|^2), i.e. onto a saddle the conservative
+    flow would leave."""
     if np.ptp(phi) > 1e-8 or np.ptp(init_vals) < 1e-6:
         return False
-    ksq = -grid.lap_symbol
-    kmin_sq = float(np.min(ksq[ksq > 0]))
     return kmin_sq + float(potential.second(grid.mean(phi))) < 0.0
 
 
@@ -114,19 +116,21 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     Iterates are damped to stay inside |phi| < 1 on the logarithmic well.
     Raises NonConvergenceError with the best residual if the target is not
     met within _MAX_STEPS (500) linear solves, or if a varying guess ends on a
-    linearly unstable constant state (a saddle).
+    linearly unstable constant state (a saddle), and StartStateError if it
+    refuses m or the guess.
     """
     if not -1.0 < m < 1.0:
-        raise ValueError(f"mean value must lie in (-1, 1), got {m}")
+        raise StartStateError(f"mean value must lie in (-1, 1), got {m}")
     if init.grid != grid:
-        raise ValueError("initial guess lives on a different grid")
+        raise StartStateError("initial guess lives on a different grid")
     phi = init.values - grid.mean(init.values) + m
     singular = potential.kind == LOGARITHMIC
     if singular and np.max(np.abs(phi)) > 1.0 - SEPARATION_MARGIN:
-        raise ValueError("initial guess must satisfy max|phi| < 1")
+        raise StartStateError("initial guess must satisfy max|phi| < 1")
 
     init_vals = phi.copy()
-    solve = _step_solver(grid)
+    kmin_sq = float(grid.ksq[grid.ksq > 0].min())
+    solve = _step_solver(grid, kmin_sq)
     res_field = _residual_field(grid, potential, phi)
     res = best = grid.l2_norm(res_field)
     dt = 0.05
@@ -159,7 +163,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
         raise NonConvergenceError(
             f"stationary solve stalled at residual {best:.3e} (target {tol:g}) "
             f"after {_MAX_STEPS} steps", best)
-    if _unstable_constant(grid, potential, phi, init_vals):
+    if _unstable_constant(grid, potential, phi, init_vals, kmin_sq):
         raise NonConvergenceError(
             f"the varying guess converged onto the constant state {m:g}, a "
             "linearly unstable saddle of the energy; the guess lacks the "

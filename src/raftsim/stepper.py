@@ -133,7 +133,7 @@ def _step_operators(grid, delta, dt):
     with the same key shares its arrays, including a library caller's runs
     on other threads, so they are read-only: no run can change another's.
     """
-    ksq = -grid.lap_symbol
+    ksq = grid.ksq
     c1 = 1.0 + dt * ksq**2 + (dt / delta) * ksq
     b_sym = -(2.0 * dt / delta) * ksq
     c_sym = 1.0 + (4.0 * dt / delta) * ksq

@@ -30,8 +30,12 @@ class SurfaceGrid:
 
     Instances are immutable; all cached arrays are read-only.  Node layout:
     circle -> shape (n,) at angles 2*pi*j/n; torus -> shape (nx, ny) at
-    (j*lx/nx, k*ly/ny).  inv_ksq is the symbol 1/|k|^2 in rfft layout, with
-    zero mode 0: the inverse of -lap on mean-free fields.
+    (j*lx/nx, k*ly/ny).  Every axis is built alike, the circle being the
+    one-axis case: axis_modes holds each axis's integer mode numbers m in
+    rfft layout (all n of them on leading axes, 0..n/2 on the last), whose
+    wavenumbers are (2 pi / L) m; ksq is |k|^2, summed over the axes, so -lap
+    is the Fourier multiplier ksq, and inv_ksq is 1/|k|^2 with zero mode 0,
+    the inverse of -lap on mean-free fields.
     """
 
     def __init__(self, kind, shape, lengths):
@@ -41,8 +45,9 @@ class SurfaceGrid:
             if n < 8 or n % 2 != 0:
                 raise ValueError(f"node counts must be even and >= 8, got {shape}")
         for L in lengths:
-            if not L > 0.0:
-                raise ValueError(f"side lengths must be positive, got {lengths}")
+            if not 0.0 < L < math.inf:
+                raise ValueError(
+                    f"side lengths must be positive and finite, got {lengths}")
         self.kind = kind
         self.shape = tuple(shape)
         self.lengths = tuple(float(L) for L in lengths)
@@ -50,36 +55,27 @@ class SurfaceGrid:
         self.total_measure = float(np.prod(self.lengths))
         self.node_weight = self.total_measure / self.node_count
 
-        if kind == CIRCLE:
-            n = self.shape[0]
-            k = np.arange(n // 2 + 1, dtype=float)  # integer wavenumbers
-            ksq = k**2
-            dbl = np.ones(n // 2 + 1)
-            dbl[1:] = 2.0
-            if n % 2 == 0:
-                dbl[-1] = 1.0
-            self._neg_kx = None
-        else:
-            nx, ny = self.shape
-            lx, ly = self.lengths
-            kx = 2.0 * np.pi * np.fft.fftfreq(nx, d=lx / nx)
-            ky = 2.0 * np.pi * np.fft.rfftfreq(ny, d=ly / ny)
-            ksq = kx[:, None] ** 2 + ky[None, :] ** 2
-            dbl = np.ones((nx, ny // 2 + 1))
-            dbl[:, 1:] = 2.0
-            if ny % 2 == 0:
-                dbl[:, -1] = 1.0
-            self._neg_kx = -np.arange(nx) % nx   # row of mode -kx
-        self._ksq = ksq
+        *lead, last = self.shape
+        self.axis_modes = (*(np.fft.ifftshift(np.arange(n) - n // 2)
+                             for n in lead),
+                           np.arange(last // 2 + 1))
+        # a 2 pi side gives 2 pi / L = 1 and exact integer wavenumbers
+        wavenumbers = np.ix_(*((2.0 * np.pi / L) * m
+                               for m, L in zip(self.axis_modes, self.lengths)))
+        self.ksq = sum(k**2 for k in wavenumbers)
         # rfft halves the last axis; `dbl` restores the conjugate modes in
-        # Parseval sums.
+        # Parseval sums (the zero and Nyquist lines have none)
+        dbl = np.full(self.ksq.shape, 2.0)
+        dbl[..., 0] = dbl[..., -1] = 1.0
         self._dbl = dbl.ravel()
         self._parseval = dbl * (self.total_measure / self.node_count**2)
-        inv = np.zeros_like(ksq)
-        nonzero = ksq > 0
-        inv[nonzero] = 1.0 / ksq[nonzero]
+        self._neg_kx = -np.arange(self.shape[0]) % self.shape[0]  # row of -kx
+        inv = np.zeros_like(self.ksq)
+        nonzero = self.ksq > 0
+        inv[nonzero] = 1.0 / self.ksq[nonzero]
         self.inv_ksq = inv
-        for arr in (self._ksq, self._dbl, self._parseval, self.inv_ksq):
+        for arr in (*self.axis_modes, self.ksq, self._dbl, self._parseval,
+                    self.inv_ksq):
             arr.setflags(write=False)
 
     @classmethod
@@ -95,13 +91,10 @@ class SurfaceGrid:
 
     def nodes(self):
         """Node coordinates: angles for the circle, (x, y) meshes for the torus."""
-        if self.kind == CIRCLE:
-            n = self.shape[0]
-            return 2.0 * np.pi * np.arange(n) / n
-        nx, ny = self.shape
-        x = self.lengths[0] * np.arange(nx) / nx
-        y = self.lengths[1] * np.arange(ny) / ny
-        return np.meshgrid(x, y, indexing="ij")
+        coords = np.meshgrid(*(L * np.arange(n) / n
+                               for n, L in zip(self.shape, self.lengths)),
+                             indexing="ij")
+        return coords[0] if len(coords) == 1 else coords
 
     # -- transforms --------------------------------------------------------
 
@@ -135,7 +128,11 @@ class SurfaceGrid:
         for c in coeffs:
             a = np.abs(c)
             # irfft reads the zero and Nyquist lines of the last axis as
-            # their own conjugates, i.e. only their Hermitian parts
+            # their own conjugates, i.e. only their Hermitian parts.  The
+            # circle keeps its own rule: the torus's, written for any number
+            # of leading axes, gives the same answers but took 8.4 us a call
+            # on a 128-node circle against 4.5 us, about 2% of a kappa-sweep
+            # operation (3 446 calls, 2 vCPUs, NumPy 2.4)
             if self.kind == CIRCLE:
                 a[0], a[-1] = abs(c[0].real), abs(c[-1].real)
             else:
@@ -164,7 +161,7 @@ class SurfaceGrid:
     @property
     def lap_symbol(self):
         """Multiplier of the Laplace-Beltrami operator in rfft layout (-|k|^2)."""
-        return -self._ksq
+        return -self.ksq
 
     def circulant(self, symbol):
         """Dense physical-space matrix of the Fourier multiplier `symbol`
@@ -189,7 +186,7 @@ class SurfaceGrid:
     # NumPy's module-level wrapper, bit for bit, at a fraction of its cost.
 
     def laplacian(self, values):
-        return self.ifft(-self._ksq * self.fft(values))
+        return self.ifft(-self.ksq * self.fft(values))
 
     def _check_mean_free(self, values, what):
         if abs(self.mean(values)) > 1e-10 * self.l2_norm(values):
@@ -214,7 +211,7 @@ class SurfaceGrid:
 
     def h1_seminorm_sq_of_coeffs(self, coeffs):
         """h1_seminorm_sq of the field whose transform is `coeffs`."""
-        return float((self._parseval * self._ksq * np.abs(coeffs) ** 2).sum())
+        return float((self._parseval * self.ksq * np.abs(coeffs) ** 2).sum())
 
     def hminus1_norm(self, values):
         """Dual-space norm ||grad^-1 f||_L2 of a mean-free field."""

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 
 import raftsim as rs
+from raftsim.harness.config import lowpass_mask
 
 # Hypothesis reports a failing example through hypothesis.extra._patching,
 # whose libcst import subclasses the deprecated mypy_extensions.TypedDict.
@@ -24,18 +25,7 @@ def lowpass_field(grid, seed, amplitude, cutoff=6, mean=0.0):
     """Deterministic smooth random surface field with exact mean."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape)
-    coeffs = grid.fft(noise)
-    if grid.kind == "circle":
-        n = grid.shape[0]
-        k = np.arange(n // 2 + 1)
-        mask = (k >= 1) & (k <= cutoff)
-    else:
-        nx, ny = grid.shape
-        kx = np.abs(np.fft.fftfreq(nx, d=1.0 / nx))
-        ky = np.abs(np.fft.rfftfreq(ny, d=1.0 / ny))
-        mask = (kx[:, None] <= cutoff) & (ky[None, :] <= cutoff)
-        mask[0, 0] = False
-    vals = grid.ifft(coeffs * mask)
+    vals = grid.ifft(grid.fft(noise) * lowpass_mask(grid, cutoff))
     vals *= amplitude / np.max(np.abs(vals))
     vals -= grid.mean(vals)
     return rs.SurfaceField(grid, vals + mean)

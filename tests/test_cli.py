@@ -364,3 +364,43 @@ def test_full_system_refuses_omega_measure(tmp_path, capsys):
     # pi, as resolved_config.ini writes it, is accepted
     pi_text = test_experiments.TINY_FULL + f"[params]\nomega_measure = {np.pi!r}\n"
     assert h.parse_config(pi_text) == h.parse_config(test_experiments.TINY_FULL)
+
+
+@pytest.mark.parametrize("command, geometry, message", [
+    ("run-full", ("kind=disk", "nr=8", "ntheta=32"),
+     "holds a reduced state on SurfaceGrid.circle(32); [run] and [geometry] "
+     "ask for a full state on DiskGrid(nr=8, ntheta=32)"),
+    ("run-reduced", ("n=64",),
+     "holds a reduced state on SurfaceGrid.circle(32); [run] and [geometry] "
+     "ask for a reduced state on SurfaceGrid.circle(64)"),
+], ids=["system", "grid"])
+def test_initial_file_must_match_config(config_file, tmp_path, capsys, command,
+                                        geometry, message):
+    # the run used to step whatever the snapshot held, and stamp its
+    # final.snap with this config's param_hash
+    out = tmp_path / "out"
+    assert main(["run-reduced", "--config", str(config_file),
+                 "--out", str(out)]) == 0
+    overrides = [f"geometry.{item}" for item in geometry] + [
+        "initial.kind=file", f"initial.path={out / 'final.snap'}"]
+    code = main([command, "--config", str(config_file),
+                 "--out", str(tmp_path / "o2"),
+                 *(arg for item in overrides for arg in ("--override", item))])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o2" / "final.snap").exists()
+
+
+@pytest.mark.parametrize("well", ["logarithmic", "polynomial"])
+def test_steady_refuses_start_state(config_file, tmp_path, capsys, well):
+    # phi_mean = 1 passes the config's |phi_mean| <= 1 check; the solver's
+    # refusal used to end in a ValueError traceback (exit 1)
+    code = main(["steady", "--config", str(config_file),
+                 "--out", str(tmp_path / "o"),
+                 "--override", "initial.kind=constant",
+                 "--override", "initial.phi_mean=1.0",
+                 "--override", f"potential.kind={well}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "mean value must lie in (-1, 1), got 1.0" in err
+    assert not (tmp_path / "o" / "stationary.json").exists()

@@ -232,6 +232,26 @@ def test_initial_field_construction_deterministic():
     assert np.max(np.abs(a.phi.values)) == pytest.approx(0.01, rel=1e-12)
 
 
+@pytest.mark.parametrize("geometry, digest", [
+    ("kind = circle\nn = 64",
+     "b03d7b6f1f55cfb7676fb0b016760f8246d8c5e75c69a55e1114efa872c24409"),
+    ("kind = torus\nnx = 24\nny = 40",
+     "f19f5bd9cf61179909fd0a8163f36dcb852f3e60d0f6f707ef9aa8c938e02e23"),
+], ids=["circle64", "torus24x40"])
+def test_initial_fields_pinned(geometry, digest):
+    # random initial data, both low-pass draws: the mask of modes below the
+    # cutoff and the normalization must keep every bit
+    text = (MINIMAL_REDUCED.replace("kind = torus\nnx = 32\nny = 32", geometry)
+            .replace("seed = 7\namplitude = 0.01",
+                     "seed = 11\namplitude = 0.4\nv_amplitude = 0.2\n"
+                     "cutoff = 6"))
+    state = h.parse_config(text).build_initial_state()
+    sha = hashlib.sha256()
+    for field in (state.phi.values, state.v.values):
+        sha.update(np.ascontiguousarray(field, "<f8").tobytes())
+    assert sha.hexdigest() == digest
+
+
 def test_snapshot_roundtrip_full(tmp_path):
     disk = rs.DiskGrid(12, 32)
     rng = np.random.default_rng(3)

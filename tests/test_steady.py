@@ -41,7 +41,7 @@ def smallest_hessian_eigenvalue(phi, potential):
     """lambda_min of -lap + W''(phi) on the mean-free slice (circle grids)."""
     grid = phi.grid
     basis = null_space(np.ones((1, grid.node_count)))
-    hess = -grid.circulant(grid.lap_symbol) + np.diag(potential.second(phi.values))
+    hess = grid.circulant(grid.ksq) + np.diag(potential.second(phi.values))
     return np.linalg.eigvalsh(basis.T @ hess @ basis)[0]
 
 
@@ -49,7 +49,7 @@ def projected_ptc_matrix(grid, wpp, dt):
     """P (K^-1/dt + K + diag W'') P + 11'/n with K = -lap and P the
     mean-free projector, formed by two dense products."""
     n = grid.node_count
-    ksq = -grid.lap_symbol
+    ksq = grid.ksq
     kinv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
     avg = np.full((n, n), 1.0 / n)
     proj = np.eye(n) - avg
@@ -67,7 +67,7 @@ def test_dense_step_matches_projected_matrix(n, sign, dt):
     wpp = sign * rng.uniform(1.25, 1.75, n)
     rhs = rng.standard_normal(n)
     rhs -= np.mean(rhs)
-    got = _step_solver(grid)(wpp, rhs, dt)
+    got = _step_solver(grid, 1.0)(wpp, rhs, dt)
     mat = projected_ptc_matrix(grid, wpp, dt)
     # normwise backward error in the projected matrix; the forward gap to
     # np.linalg.solve(mat, rhs) is round-off times cond(mat), up to 1.6e5
@@ -180,7 +180,8 @@ def test_capped_krylov_solve_cuts_dt(monkeypatch):
     torus = rs.SurfaceGrid.torus(16, 16)
     phi = lowpass_field(torus, 3, 0.3).values
     rhs = -steady_mod._residual_field(torus, POT, phi)
-    assert _step_solver(torus)(POT.second(phi), rhs, 0.05) is None
+    # kmin^2 = 1 on 2 pi sides
+    assert _step_solver(torus, 1.0)(POT.second(phi), rhs, 0.05) is None
 
 
 def test_random_field_is_not_a_solution():

@@ -214,6 +214,36 @@ def test_grid_validation():
         rs.SurfaceGrid.circle(4)
     with pytest.raises(ValueError):
         rs.SurfaceGrid.torus(64, 10, 2 * np.pi, 0.0)  # zero side length
+    for length in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            rs.SurfaceGrid.torus(16, 16, lx=length)
+
+
+@pytest.mark.parametrize("n", [8, 24, 64, 520])
+def test_circle_ksq_are_integer_squares(n):
+    # (2 pi / 2 pi) m is exactly m, so circles and the disk keep the
+    # integer |k|^2 that their dense solves and bulk factors were built on
+    want = np.arange(n // 2 + 1, dtype=float) ** 2
+    for grid in (rs.SurfaceGrid.circle(n), rs.DiskGrid(4, n).boundary):
+        assert grid.ksq.tobytes() == want.tobytes()
+        assert np.array_equal(grid.axis_modes[0], np.arange(n // 2 + 1))
+        assert np.array_equal(grid.lap_symbol, -want)
+
+
+def test_torus_ksq_are_integer_sums():
+    grid = rs.SurfaceGrid.torus(24, 40)
+    mx, my = grid.axis_modes
+    assert np.array_equal(mx, np.r_[0:12, -12:0])
+    assert np.array_equal(my, np.arange(21))
+    want = (mx[:, None] ** 2 + my[None, :] ** 2).astype(float)
+    assert grid.ksq.tobytes() == want.tobytes()
+    # other sides scale each axis by its own 2 pi / L
+    scaled = rs.SurfaceGrid.torus(24, 40, lx=3.0, ly=4.5)
+    kx, ky = 2 * np.pi / 3.0 * mx, 2 * np.pi / 4.5 * my
+    assert np.allclose(scaled.ksq, kx[:, None] ** 2 + ky[None, :] ** 2,
+                       rtol=1e-15, atol=0)
+    for arr in (*grid.axis_modes, grid.ksq):
+        assert not arr.flags.writeable
 
 
 def test_field_validation(circle):
@@ -238,7 +268,7 @@ def test_circulant_matches_operator(circle, operator):
         mat, want = circle.circulant(circle.lap_symbol), circle.laplacian(f)
     else:
         f -= circle.mean(f)
-        ksq = -circle.lap_symbol
+        ksq = circle.ksq
         inv = np.divide(1.0, ksq, out=np.zeros_like(ksq), where=ksq > 0)
         mat, want = circle.circulant(inv), -circle.inverse_laplacian(f)
     assert np.max(np.abs(mat @ f - want)) <= 1e-11
@@ -248,7 +278,7 @@ def _multiplier_system(grid, seed):
     # a Fourier multiplier with a wide spread plus a node-wise product: the
     # shape of the stepper's Newton operator, real-linear through irfft
     rng = np.random.default_rng(seed)
-    sym = 1.0 + (-grid.lap_symbol) ** 2
+    sym = 1.0 + grid.ksq ** 2
     weight = 10.0 ** (3.0 * rng.random(grid.shape))
 
     def matvec(xh):
