@@ -170,10 +170,15 @@ _EXPERIMENTS = {
 
 def _cmd_experiment(args, kind):
     cfg = _load_config(args)
-    out = _out_dir(args, cfg)
-    if cfg.experiment.kind == "absorbing":
+    chosen = cfg.experiment.kind
+    if chosen == "absorbing":
         # the absorbing-set sweep is selected by the config, not a subcommand
         kind = "absorbing"
+    elif chosen not in (None, kind):
+        raise ConfigError([(None, f"[experiment] kind = {chosen} names another "
+                                  f"experiment than {args.command}, which "
+                                  f"runs {kind}")])
+    out = _out_dir(args, cfg)
     name, experiment = _EXPERIMENTS[kind]
     report = experiment(cfg)
     (out / name).write_text(json.dumps(report, indent=2), encoding="utf-8")

@@ -128,6 +128,12 @@ class RunConfig:
                 raise ConfigError([(None, "initial.path holds a {} state on "
                                     "{!r}; [run] and [geometry] ask for a {} "
                                     "state on {!r}".format(*held, *wanted))])
+            if (self.system == "reduced"
+                    and state.omega_measure != self.omega_measure):
+                raise ConfigError([(None, "initial.path holds a reduced state "
+                                    f"with omega_measure = {state.omega_measure!r}"
+                                    "; [params] asks for omega_measure = "
+                                    f"{self.omega_measure!r}")])
             return state
         grid = self.build_surface_grid()
         phi_vals, v_vals = _initial_fields(grid, self.initial)

@@ -21,6 +21,7 @@ from ..model import (
     ReducedState,
     chem_eta,
     chem_mu,
+    left_endpoint_integral,
 )
 from ..bulk import BulkField, bulk_integral, bulk_mean
 from ..potentials import LOGARITHMIC
@@ -32,13 +33,6 @@ from .config import ConfigError, RunConfig, serialize_config
 def _unsuitable(message):
     """The error for a config that the experiment cannot run (exit 2)."""
     return ConfigError([(None, message)])
-
-
-def _left_endpoint_integral(records, column_getter):
-    total = 0.0
-    for rec, nxt in zip(records[:-1], records[1:]):
-        total += (nxt.t - rec.t) * column_getter(rec)
-    return total
 
 
 # -- large cytosolic diffusion -------------------------------------------------
@@ -63,6 +57,10 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
     law = cfg.exchange
     if not isinstance(law, CutoffReactionExchange):
         raise _unsuitable("the large-D experiment needs the cutoff reaction law")
+    if cfg.initial.kind not in ("constant", "random"):
+        # the reduced twin starts from initial.u0, not from a file's bulk
+        raise _unsuitable("the large-D experiment needs constant or random "
+                          f"initial data, got initial.kind = {cfg.initial.kind}")
 
     state0 = cfg.build_initial_state()
     grid = state0.phi.grid
@@ -92,8 +90,8 @@ def experiment_large_d(cfg: RunConfig, d_list) -> dict:
     for d, traj in zip(d_list, full_trajs):
         full_u = np.array([r.u_scalar for r in traj.records])
         err = float(np.max(np.abs(full_u - red_u)))
-        hetero = _left_endpoint_integral(traj.records,
-                                         lambda r: r.bulk_dissipation / d)
+        hetero = left_endpoint_integral(traj.records,
+                                        lambda r: r.bulk_dissipation / d)
         rows.append({"d": d, "mean_error": err, "heterogeneity": hetero})
     return {
         "experiment": "large_d",
@@ -149,6 +147,11 @@ def experiment_kappa_refinement(cfg: RunConfig, kappa_list) -> dict:
 
 
 # -- convergence to equilibrium ----------------------------------------------------
+
+def _constants(eq):
+    return {"u_inf": eq.u_inf, "eta_inf": eq.eta_inf, "mu_inf": eq.mu_inf,
+            "v_total": eq.v_total}
+
 
 def experiment_equilibrium_convergence(cfg: RunConfig) -> dict:
     """Long equilibrium-case run: stationarity of the final state,
@@ -224,14 +227,8 @@ def experiment_equilibrium_convergence(cfg: RunConfig) -> dict:
             "eta_mean": grid.mean(eta_T.values),
             "mu_mean": grid.mean(mu_T.values),
         },
-        "constants_from_dynamic_v": {
-            "u_inf": dyn_branch.u_inf, "eta_inf": dyn_branch.eta_inf,
-            "mu_inf": dyn_branch.mu_inf, "v_total": dyn_branch.v_total,
-        },
-        "constants_remark_branch": {
-            "u_inf": remark_branch.u_inf, "eta_inf": remark_branch.eta_inf,
-            "mu_inf": remark_branch.mu_inf, "v_total": remark_branch.v_total,
-        },
+        "constants_from_dynamic_v": _constants(dyn_branch),
+        "constants_remark_branch": _constants(remark_branch),
         "match": {
             "u_vs_constant": abs(float(u_dyn) - dyn_branch.u_inf),
             "eta_l2_vs_constant": grid.l2_norm(
@@ -249,15 +246,19 @@ def experiment_equilibrium_convergence(cfg: RunConfig) -> dict:
 # -- absorbing set -------------------------------------------------------------------
 
 def experiment_absorbing(cfg: RunConfig, scales, t_star: float) -> dict:
-    """Sweep initial-data magnitudes for the reduced reaction system and
-    report sup over t >= t_star of (||phi||_H1^2 + ||v||_L2^2) per scale,
-    exhibiting entry into one common bounded set."""
+    """Sweep the magnitudes of random initial data for the reduced reaction
+    system and report sup over t >= t_star of (||phi||_H1^2 + ||v||_L2^2)
+    per scale, exhibiting entry into one common bounded set."""
     scales = [float(s) for s in scales]
     if not scales:
         raise _unsuitable("scales must not be empty")
     if cfg.system != "reduced" or not isinstance(cfg.exchange, ReactionExchange):
         raise _unsuitable("the absorbing-set sweep targets the reduced "
                           "reaction system")
+    if cfg.initial.kind != "random":
+        # the scales multiply the amplitudes, which only random data reads
+        raise _unsuitable("the absorbing-set sweep needs random initial data, "
+                          f"got initial.kind = {cfg.initial.kind}")
     if not 0.0 <= t_star <= cfg.schedule.t_final:
         raise _unsuitable(f"experiment.t_star must lie in [0, t_final], "
                           f"got {t_star!r}")

@@ -213,7 +213,7 @@ def chem_mu(phi: SurfaceField, eta: SurfaceField, potential: DoubleWell,
 
 
 def exchange_q(law: ExchangeLaw, u_on_gamma, eta: SurfaceField,
-               phi: SurfaceField, v: SurfaceField, t: float) -> SurfaceField:
+               v: SurfaceField, t: float) -> SurfaceField:
     """Mass exchange rate on the surface.
 
     u_on_gamma is the bulk trace (SurfaceField) for the coupled system or the
@@ -323,7 +323,15 @@ def separation_margin(phi: SurfaceField) -> float:
     return 1.0 - float(np.abs(phi.values).max())
 
 
-def energy_identity_residual(records, params: Params) -> float:
+def left_endpoint_integral(records, integrand) -> float:
+    """Left-endpoint quadrature of integrand(record) over the records' times."""
+    total = 0.0
+    for rec, nxt in zip(records[:-1], records[1:]):
+        total += (nxt.t - rec.t) * integrand(rec)
+    return total
+
+
+def energy_identity_residual(records) -> float:
     """Defect of the discrete energy balance over a recorded segment.
 
     Expects per-step records (sample stride 1) carrying total_energy, the
@@ -332,11 +340,9 @@ def energy_identity_residual(records, params: Params) -> float:
     """
     if len(records) < 2:
         return 0.0
-    dissipated = 0.0
-    exchanged = 0.0
-    for rec, nxt in zip(records[:-1], records[1:]):
-        dt = nxt.t - rec.t
-        dissipated += dt * (rec.bulk_dissipation + rec.mu_grad_sq + rec.eta_grad_sq)
-        exchanged += dt * rec.exchange_energy_rate
+    dissipated = left_endpoint_integral(
+        records, lambda r: r.bulk_dissipation + r.mu_grad_sq + r.eta_grad_sq)
+    exchanged = left_endpoint_integral(records,
+                                       lambda r: r.exchange_energy_rate)
     return float(abs(records[-1].total_energy - records[0].total_energy
                      + dissipated - exchanged))

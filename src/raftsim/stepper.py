@@ -309,7 +309,7 @@ def _frozen_inputs(state, params):
     eta = chem_eta(state.phi, state.v, params.delta)
     u_gamma = (trace_boundary(state.u) if isinstance(state, FullState)
                else state.u)
-    q = exchange_q(params.exchange, u_gamma, eta, state.phi, state.v, state.t)
+    q = exchange_q(params.exchange, u_gamma, eta, state.v, state.t)
     return eta, u_gamma, q
 
 

@@ -133,7 +133,7 @@ def test_criterion_3_energy_law(energy_run):
                                                   ("schedule.t_final", "0.5")])
         tr = rs.run(c.build_initial_state(), c.build_params(), c.stepper,
                     c.schedule)
-        residuals[dt] = energy_identity_residual(tr.records, c.build_params())
+        residuals[dt] = energy_identity_residual(tr.records)
     ratio = residuals[2e-3] / residuals[1e-3]
     ratio_ok = 1.7 <= ratio <= 2.3
     ok = monotone and ratio_ok
@@ -348,8 +348,8 @@ def test_criterion_7_equilibrium_convergence():
     remark = rep["constants_remark_branch"]
     dyn = rep["dynamic"]
 
-    # relations among the post-processed constants (enforced by the
-    # postprocessor's validator at 1e-10; re-derive the defining identities)
+    # relations among the post-processed constants (postprocess_constants
+    # computes each from its defining relation; re-derive the identities)
     cdyn = rep["constants_from_dynamic_v"]
     sta2 = abs(math.pi * cdyn["u_inf"] + cdyn["v_total"] - math.pi)
     matches = (match["u_vs_constant"], match["eta_l2_vs_constant"],

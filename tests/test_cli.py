@@ -338,15 +338,40 @@ def test_absorbing_selected_by_config(tmp_path):
      "regularized well needs 0 < kappa < r0"),
     ("sweep-d", REDUCED + "\n[experiment]\nkind = absorbing\nt_star = -1\n",
      "experiment.t_star must lie in [0, t_final]"),
-], ids=["d_list_zero", "reduced_config", "kappa_above_r0", "negative_t_star"])
+    ("sweep-d", REDUCED.replace("kind = random", "kind = constant")
+     + "\n[experiment]\nkind = absorbing\n",
+     "the absorbing-set sweep needs random initial data, got "
+     "initial.kind = constant"),
+    ("sweep-kappa", REDUCED + "\n[experiment]\nkind = large_d\n",
+     "[experiment] kind = large_d names another experiment than sweep-kappa, "
+     "which runs kappa"),
+], ids=["d_list_zero", "reduced_config", "kappa_above_r0", "negative_t_star",
+        "absorbing_constant", "kind_of_another_sweep"])
 def test_experiment_rejects_unsuitable_config(tmp_path, capsys, command, text,
                                               message):
-    # each once ended in a traceback (exit 1) or, for t_star, exit 0
+    # each once ended in a traceback (exit 1) or exit 0; the last two ran
+    # (scales that change nothing, another experiment) and wrote a report
     path = tmp_path / "exp.ini"
     path.write_text(text)
     code = main([command, "--config", str(path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_sweep_d_refuses_start_file(tmp_path, capsys):
+    # the reduced twin starts from initial.u0, not from the file's bulk, so
+    # e(D) compared two different starts and read ~1 at every D
+    cfg = tmp_path / "full.ini"
+    cfg.write_text(test_experiments.TINY_FULL)
+    assert main(["run-full", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    code = main(["sweep-d", "--config", str(cfg), "--out", str(tmp_path / "o2"),
+                 "--override", "initial.kind=file",
+                 "--override", f"initial.path={tmp_path / 'o' / 'final.snap'}"])
+    assert code == 2
+    assert ("the large-D experiment needs constant or random initial data, "
+            "got initial.kind = file") in capsys.readouterr().err
+    assert not (tmp_path / "o2" / "large_d.json").exists()
 
 
 def test_full_system_refuses_omega_measure(tmp_path, capsys):
@@ -366,26 +391,29 @@ def test_full_system_refuses_omega_measure(tmp_path, capsys):
     assert h.parse_config(pi_text) == h.parse_config(test_experiments.TINY_FULL)
 
 
-@pytest.mark.parametrize("command, geometry, message", [
-    ("run-full", ("kind=disk", "nr=8", "ntheta=32"),
+@pytest.mark.parametrize("command, overrides, message", [
+    ("run-full", ("geometry.kind=disk", "geometry.nr=8", "geometry.ntheta=32"),
      "holds a reduced state on SurfaceGrid.circle(32); [run] and [geometry] "
      "ask for a full state on DiskGrid(nr=8, ntheta=32)"),
-    ("run-reduced", ("n=64",),
+    ("run-reduced", ("geometry.n=64",),
      "holds a reduced state on SurfaceGrid.circle(32); [run] and [geometry] "
      "ask for a reduced state on SurfaceGrid.circle(64)"),
-], ids=["system", "grid"])
+    ("run-reduced", ("params.omega_measure=2.0",),
+     "holds a reduced state with omega_measure = 3.141592653589793; "
+     "[params] asks for omega_measure = 2.0"),
+], ids=["system", "grid", "omega_measure"])
 def test_initial_file_must_match_config(config_file, tmp_path, capsys, command,
-                                        geometry, message):
+                                        overrides, message):
     # the run used to step whatever the snapshot held, and stamp its
     # final.snap with this config's param_hash
     out = tmp_path / "out"
     assert main(["run-reduced", "--config", str(config_file),
                  "--out", str(out)]) == 0
-    overrides = [f"geometry.{item}" for item in geometry] + [
-        "initial.kind=file", f"initial.path={out / 'final.snap'}"]
+    items = [*overrides, "initial.kind=file",
+             f"initial.path={out / 'final.snap'}"]
     code = main([command, "--config", str(config_file),
                  "--out", str(tmp_path / "o2"),
-                 *(arg for item in overrides for arg in ("--override", item))])
+                 *(arg for item in items for arg in ("--override", item))])
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o2" / "final.snap").exists()

@@ -254,6 +254,24 @@ def test_postprocess_validates_invariants():
     assert np.max(np.abs(eq.phi_inf.values)) < 1.0
 
 
+def test_postprocess_small_delta():
+    # at delta = 1e-7, eta_inf ~ 1e7 and the relation eta/2 + mu = <W'>
+    # holds to round-off of eta_inf, far above 1e-10 * |<W'>|
+    grid = rs.SurfaceGrid.circle(32)
+    phi = rs.SurfaceField(grid, 0.3 * np.cos(grid.nodes()) + 0.1)
+    m_mass = grid.integral(phi.values)
+    post = partial(rs.postprocess_constants, total_mass=7.3, delta=1e-7,
+                   omega_measure=np.pi, potential=POT, a_inf_positive=False,
+                   v_total=5.0)
+    eq = post(phi, phi0_mass=m_mass)
+    wp_mean = grid.mean(POT.deriv(phi.values))
+    defect = 0.5 * eq.eta_inf + eq.mu_inf - wp_mean
+    assert abs(defect) <= 4.0 * np.spacing(abs(eq.eta_inf))
+    # the one check is on the input: phi's mean against phi0_mass
+    with pytest.raises(ValueError, match="phi mass constraint"):
+        post(phi, phi0_mass=m_mass + 1e-6)
+
+
 def test_dynamics_consistency():
     # after a long dissipative run the stationarity defect of phi is
     # controlled by the run's own residual gradients (Poincare with C = 1 on

@@ -215,7 +215,7 @@ def _kappa_circle_case(n=128, kappa=0.0):
                                              sample_stride=10**6)).final_state
     assert np.max(np.abs(st.phi.values)) >= (1.0 if kappa else 0.999)
     eta = rs.chem_eta(st.phi, st.v, params.delta)
-    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.v, st.t)
     return st, params, cfg, q
 
 
@@ -239,7 +239,7 @@ def _full_disk_case():
                        exchange=rs.EquilibriumExchange(a0=1.0))
     eta = rs.chem_eta(st.phi, st.v, params.delta)
     q = rs.exchange_q(params.exchange, rs.trace_boundary(st.u), eta,
-                      st.phi, st.v, st.t)
+                      st.v, st.t)
     return st, params, rs.StepperConfig(dt=2e-3), q
 
 
@@ -250,7 +250,7 @@ def _krylov_case(grid):
     params = rs.Params(potential=rs.DoubleWell(theta=1.0, theta0=3.0),
                        exchange=rs.ReactionExchange(b1=0.5, b2=0.5))
     eta = rs.chem_eta(st.phi, st.v, params.delta)
-    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.v, st.t)
     return st, params, rs.StepperConfig(dt=1e-2), q
 
 
@@ -378,7 +378,7 @@ def test_nonfinite_residual_fails_at_once(monkeypatch):
     st = reduced_state(torus, seed=6, amplitude=0.3)
     cfg = rs.StepperConfig(dt=1e-3, dt_min=2.5e-4)
     eta = rs.chem_eta(st.phi, st.v, params.delta)
-    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.v, st.t)
     for dt in (cfg.dt, cfg.dt / 2, cfg.dt / 4):
         stepper_mod._step_operators(torus, params.delta, dt)  # fft(1) too
     convex_deriv = rs.DoubleWell.convex_deriv
@@ -423,7 +423,7 @@ def test_step_operator_cache_shared_by_threads():
                        exchange=rs.ReactionExchange())
     cfg = rs.StepperConfig(dt=4e-3)
     eta = rs.chem_eta(st.phi, st.v, params.delta)
-    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.v, st.t)
     dts = (cfg.dt, cfg.dt / 2, cfg.dt / 4)
 
     def solve(dt):
@@ -483,7 +483,7 @@ def standalone_record(st, params):
     else:
         u_on_gamma = u_for_rate = u_scalar = st.u
         bulk_diss = 0.0
-    q = rs.exchange_q(params.exchange, u_on_gamma, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, u_on_gamma, eta, st.v, st.t)
     combined, phi_mass = rs.masses(st)
     return rs.DiagnosticsRecord(
         t=st.t,
@@ -650,7 +650,7 @@ def test_indefinite_newton_matrix_halves_dt(monkeypatch):
     st = reduced_state(CIRCLE, seed=13, amplitude=0.2)
     cfg = rs.StepperConfig(dt=4e-3, dt_min=1e-3)
     eta = rs.chem_eta(st.phi, st.v, params.delta)
-    q = rs.exchange_q(params.exchange, st.u, eta, st.phi, st.v, st.t)
+    q = rs.exchange_q(params.exchange, st.u, eta, st.v, st.t)
     monkeypatch.setattr(rs.DoubleWell, "convex_second",
                         lambda self, r: np.full(np.shape(r), -1e8))
     with pytest.raises(rs.NewtonDivergenceError, match="positive definite"):
