@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .potentials import DoubleWell, LOGARITHMIC, SEPARATION_MARGIN
-from .surface import SurfaceField, SurfaceGrid, gmres, mean_free_matrix
+from .surface import MeanFreeOperator, SurfaceField, SurfaceGrid, gmres
 
 _MAX_STEPS = 500  # linear solves a stationary solve may take
 
@@ -48,54 +48,37 @@ def steady_residual(phi: SurfaceField, potential: DoubleWell) -> float:
     return phi.grid.l2_norm(_residual_field(phi.grid, potential, phi.values))
 
 
-def _step_solver(grid, kmin_sq):
+def _step_solver(grid):
     """Return solve(wpp, rhs, dt), the mean-free delta with
-    (K^-1/dt + J) delta = rhs on the mean-free slice, where K = -lap and
-    J = -lap + W''(phi) with wpp = W''(phi); None if GMRES does not
-    converge.  kmin_sq is the grid's smallest nonzero |k|^2."""
-    ksq = grid.ksq
-
+    (K^-1/dt + J) delta = rhs, K = -lap, J = -lap + diag(wpp): the
+    MeanFreeOperator of 1/(dt k^2) + k^2, scale 1 and m = wpp, by LU (W''
+    is indefinite) on dense grids, else by gmres (None if it fails)."""
+    ksq = np.where(grid.ksq > 0, grid.ksq, 1.0)  # zero mode 1, as sigma's
     if grid.solves_densely:
-        # ksq_mat's zero mode 1 keeps the system nonsingular; W'' is
-        # indefinite, so LU, not Cholesky
         kinv_mat = grid.circulant(grid.inv_ksq)
-        ksq_mat = grid.circulant(np.where(ksq > 0, ksq, 1.0))
-
-        def solve(wpp, rhs, dt):
-            return np.linalg.solve(mean_free_matrix(kinv_mat / dt + ksq_mat, wpp),
-                                   rhs)
-        return solve
-
-    fft, ifft = grid.fft, grid.ifft
-    zero = (0,) * ksq.ndim
+        ksq_mat = grid.circulant(ksq)
 
     def solve(wpp, rhs, dt):
-        sym = grid.inv_ksq / dt + ksq
-        shift = max(0.5 * (float(wpp.min()) + float(wpp.max())), -0.9 * kmin_sq)
-        prec_sym = sym + shift
-        prec_sym[zero] = 1.0
-
-        # every Krylov vector has a zero mode of 0, as rhs_h has
-        def matvec(xh):
-            out = sym * xh + fft(wpp * ifft(xh))
-            out[zero] = 0.0
-            return out
-
-        rhs_h = fft(rhs)
-        rhs_h[zero] = 0.0
-        sol, _, ok = gmres(matvec, rhs_h, 1.0 / prec_sym, rtol=1e-12)
-        return ifft(sol) if ok else None
+        if grid.solves_densely:
+            # dense_solve reads the circulant, so the symbol is not built
+            op = MeanFreeOperator(grid, None, 1.0, wpp)
+            return op.dense_solve(kinv_mat / dt + ksq_mat, rhs)
+        op = MeanFreeOperator(grid, grid.inv_ksq / dt + ksq, 1.0, wpp)
+        # A keeps the zero mode, so a zero mode of 0 gives a mean-free delta
+        rhs_h = grid.fft(rhs)
+        rhs_h.flat[0] = 0.0
+        sol, _, ok = gmres(op.apply, rhs_h, op.inv_precond, rtol=1e-12)
+        return grid.ifft(sol) if ok else None
     return solve
 
 
-def _unstable_constant(grid, potential, phi, init_vals, kmin_sq):
+def _unstable_constant(grid, potential, phi, init_vals):
     """True when the solve collapsed a genuinely varying guess onto a
-    constant state that is linearly unstable (kmin_sq + W''(m) < 0, with
-    kmin_sq the smallest nonzero |k|^2), i.e. onto a saddle the conservative
-    flow would leave."""
+    constant state that is linearly unstable (grid.kmin_sq + W''(m) < 0),
+    i.e. onto a saddle the conservative flow would leave."""
     if np.ptp(phi) > 1e-8 or np.ptp(init_vals) < 1e-6:
         return False
-    return kmin_sq + float(potential.second(grid.mean(phi))) < 0.0
+    return grid.kmin_sq + float(potential.second(grid.mean(phi))) < 0.0
 
 
 def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
@@ -105,9 +88,9 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
     Pseudo-transient continuation (Kelley & Keyes 1998) along the
     conservative H^-1 gradient flow of the energy: each step solves
     (K^-1/dt + J) delta = -F once on the mean-m slice, with K = -lap,
-    J = -lap + W''(phi) and F the steady residual field; by a dense LU of
-    the stepper's mean-free assembly (surface.mean_free_matrix) where the
-    grid solves densely, by surface.gmres otherwise.  dt starts at 0.05 and
+    J = -lap + W''(phi) and F the steady residual field, on the stepper's
+    operator (surface.MeanFreeOperator): by dense LU where the grid solves
+    densely, by surface.gmres otherwise.  dt starts at 0.05 and
     follows switched evolution relaxation, dt <- dt ||F_old|| / ||F_new||,
     with the factor clamped to [1.2, 10], so the loop turns into Newton's
     method near a root.  A step is taken only if it descends the energy
@@ -129,8 +112,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
         raise StartStateError("initial guess must satisfy max|phi| < 1")
 
     init_vals = phi.copy()
-    kmin_sq = float(grid.ksq[grid.ksq > 0].min())
-    solve = _step_solver(grid, kmin_sq)
+    solve = _step_solver(grid)
     res_field = _residual_field(grid, potential, phi)
     res = best = grid.l2_norm(res_field)
     dt = 0.05
@@ -163,7 +145,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
         raise NonConvergenceError(
             f"stationary solve stalled at residual {best:.3e} (target {tol:g}) "
             f"after {_MAX_STEPS} steps", best)
-    if _unstable_constant(grid, potential, phi, init_vals, kmin_sq):
+    if _unstable_constant(grid, potential, phi, init_vals):
         raise NonConvergenceError(
             f"the varying guess converged onto the constant state {m:g}, a "
             "linearly unstable saddle of the energy; the guess lacks the "

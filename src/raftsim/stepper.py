@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .bulk import bulk_grad_norm_sq, bulk_mean, diffusion_step, trace_boundary
 from .diagnostics import DiagnosticsRecord
@@ -40,7 +39,7 @@ from .model import (
     separation_margin,
 )
 from .potentials import LOGARITHMIC, SEPARATION_MARGIN
-from .surface import SurfaceField, gmres, mean_free_matrix, surface_integral
+from .surface import MeanFreeOperator, SurfaceField, gmres, surface_integral
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -122,12 +121,11 @@ def whole_steps(span: float, dt: float) -> int | None:
 @lru_cache(maxsize=16)
 def _step_operators(grid, delta, dt):
     """The dt-dependent operators of one surface step, built once per
-    (grid, delta, dt): the symbols k^2, dt k^2, b, c, the Schur symbol S and
-    b/c, fft(1), and on grids that solve densely the circulant G of S/k^2
-    (zero mode 1) and the symbol h = 1/k^2 (zero mode 0) of _solve_surface's
-    symmetrized system (None elsewhere).  The symbols are stored complex
-    (with zero imaginary parts), so they multiply Fourier coefficients
-    exactly as the real values would after a cast, without a cast per call.
+    (grid, delta, dt): the symbols k^2, dt k^2, b, c, b/c, G = S/k^2 (zero
+    mode 1, S the Schur symbol) and h = 1/k^2 (zero mode 0), fft(1), and the
+    circulant of G where the grid solves densely (None elsewhere).  Symbols
+    are stored complex (zero imaginary parts), so they multiply Fourier
+    coefficients exactly as the real values would, without a cast per call.
 
     The cache is bounded (dt halving adds a few keys per run).  Every run
     with the same key shares its arrays, including a library caller's runs
@@ -137,16 +135,12 @@ def _step_operators(grid, delta, dt):
     c1 = 1.0 + dt * ksq**2 + (dt / delta) * ksq
     b_sym = -(2.0 * dt / delta) * ksq
     c_sym = 1.0 + (4.0 * dt / delta) * ksq
-    schur_sym = c1 - b_sym**2 / c_sym
-    symbols = [ksq, dt * ksq, b_sym, c_sym, schur_sym, b_sym / c_sym]
-    g_mat = h_sym = None
-    if grid.solves_densely:
-        g_sym = schur_sym * grid.inv_ksq
-        g_sym[0] = 1.0
-        g_mat = grid.circulant(g_sym)
-        h_sym = grid.inv_ksq.astype(complex)
+    g_sym = (c1 - b_sym**2 / c_sym) * grid.inv_ksq
+    g_sym.flat[0] = 1.0
+    g_mat = grid.circulant(g_sym) if grid.solves_densely else None
+    symbols = [ksq, dt * ksq, b_sym, c_sym, b_sym / c_sym, g_sym, grid.inv_ksq]
     ops = (*(sym.astype(complex) for sym in symbols),
-           grid.fft(np.ones(grid.shape)), g_mat, h_sym)
+           grid.fft(np.ones(grid.shape)), g_mat)
     for arr in ops:
         if arr is not None:
             arr.setflags(write=False)
@@ -159,21 +153,18 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     Unknowns are advanced from (phi_n, v_n) with the frozen source q_vals.
     Each Newton direction solves the Schur complement
     (S + dt K M) dphi = r in phi, with v eliminated mode by mode; K = -lap,
-    M = diag(F''(phi)) of the convex part.  On grids that solve densely
-    (every circle of up to 512 nodes) the zero mode is taken directly
-    (dphi_0 = mean r, as S_0 = 1) and the mean-free rest d' from the
-    symmetrized system (G + dt P M P) d' = K^+ r - dt dphi_0 P m, with
-    G = K^+ S (zero mode 1) and P the mean-free projector
-    (surface.mean_free_matrix), by dense Cholesky: F'' >= 0 makes it SPD,
-    and a failed factorization raises NewtonDivergenceError.  Elsewhere
-    surface.gmres solves the system to rtol 1e-12, right-preconditioned with
-    the midpoint constant-coefficient symbol, and a direction it does not
-    converge raises NewtonDivergenceError.  Near the pure states F'' spans
-    orders of magnitude and GMRES takes tens of operator applications a
-    direction, which is why circles solve densely (see
-    SurfaceGrid.solves_densely).  The iterate is carried in Fourier space
-    (phi also at the nodes, for F' and the damping by halving), so a
-    residual transforms only F'(phi).
+    M = diag(F''(phi)) of the convex part.  Scaled by h = K^+ on the
+    nonzero modes it is the system of surface.MeanFreeOperator, A dphi = b
+    with A = G + dt P M, G = S/k^2 (zero mode 1), b = h r and b_0 = r_0
+    (S_0 = 1); A is SPD on mean-free fields, as F'' >= 0.  Circles of up to
+    512 nodes factor A by Cholesky; elsewhere surface.gmres solves it to
+    rtol 1e-12, right-preconditioned with the midpoint constant-coefficient
+    symbol.  A failed factorization or an unconverged GMRES solve raises
+    NewtonDivergenceError.  Near the pure states F'' spans orders of
+    magnitude and GMRES takes tens of operator applications a direction,
+    which is why circles solve densely (see SurfaceGrid.solves_densely).
+    The iterate is carried in Fourier space (phi also at the nodes, for F'
+    and the damping by halving), so a residual transforms only F'(phi).
 
     Newton stops once max|r1| and max|r2| at the nodes are <= newton_tol.
     SurfaceGrid.ifft_within decides that from the residual's coefficients,
@@ -185,8 +176,8 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
     fft, ifft = grid.fft, grid.ifft
     theta0 = potential.split_coefficient
     singular = potential.kind == LOGARITHMIC
-    (ksq, dt_ksq, b_sym, c_sym, schur_sym, b_over_c, one_h, g_mat,
-     h_sym) = _step_operators(grid, delta, dt)
+    (ksq, dt_ksq, b_sym, c_sym, b_over_c, g_sym, h_sym, one_h,
+     g_mat) = _step_operators(grid, delta, dt)
 
     phin_h = fft(phi_n)
     vn_h = fft(v_n)
@@ -239,38 +230,23 @@ def _solve_surface(grid, potential, delta, dt, phi_n, v_n, q_vals, cfg):
 
         fpp = potential.convex_second(phi)
         rhs_h = -r1_h + b_over_c * r2_h
-        if g_mat is not None:
-            mat = mean_free_matrix(g_mat, fpp, dt)
-            d0 = rhs_h[0].real / fpp.size
-            rhs = ifft(h_sym * rhs_h) - (dt * d0) * (fpp - fpp.sum() / fpp.size)
-            # mat is symmetric (dposv reads one triangle), so its transpose
-            # is an F-ordered matrix that LAPACK factors without a copy
-            _, dphi, info = dposv(mat.T, rhs, overwrite_a=True,
-                                  overwrite_b=True)
-            if info != 0:
+        op = MeanFreeOperator(grid, g_sym, dt, fpp)
+        if grid.solves_densely:
+            dphi = op.dense_solve(g_mat, ifft(h_sym * rhs_h),
+                                  rhs_h[0].real / fpp.size, spd=True)
+            if dphi is None:
                 raise NewtonDivergenceError(
-                    f"Newton matrix not positive definite (info={info}, "
-                    f"dt={dt:g})"
-                )
-            dphi += d0
+                    f"Newton matrix not positive definite (dt={dt:g})")
             dphi_h = fft(dphi)
         else:
-            cmid = 0.5 * (float(fpp.min()) + float(fpp.max()))
-            inv_precond = 1.0 / (schur_sym + dt_ksq * cmid)
-
-            def matvec(xh):
-                prod_h = fft(fpp * ifft(xh))
-                out = schur_sym * xh
-                out += np.multiply(dt_ksq, prod_h, out=prod_h)
-                return out
-
-            dphi_h, applications, ok = gmres(matvec, rhs_h, inv_precond,
+            b_h = h_sym * rhs_h
+            b_h.flat[0] = rhs_h.flat[0]
+            dphi_h, applications, ok = gmres(op.apply, b_h, op.inv_precond,
                                              rtol=1e-12)
             if not ok:
                 raise NewtonDivergenceError(
                     f"GMRES failed to reach tolerance after {applications} "
-                    f"operator applications (dt={dt:g})"
-                )
+                    f"operator applications (dt={dt:g})")
             dphi = ifft(dphi_h)
         dv_h = (-r2_h - b_sym * dphi_h) / c_sym
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
+from scipy.linalg.lapack import dposv
 
 CIRCLE = "circle"
 TORUS = "torus"
@@ -34,8 +35,8 @@ class SurfaceGrid:
     one-axis case: axis_modes holds each axis's integer mode numbers m in
     rfft layout (all n of them on leading axes, 0..n/2 on the last), whose
     wavenumbers are (2 pi / L) m; ksq is |k|^2, summed over the axes, so -lap
-    is the Fourier multiplier ksq, and inv_ksq is 1/|k|^2 with zero mode 0,
-    the inverse of -lap on mean-free fields.
+    is the Fourier multiplier ksq, inv_ksq is 1/|k|^2 with zero mode 0,
+    the inverse of -lap on mean-free fields, and kmin_sq is min |k|^2 > 0.
     """
 
     def __init__(self, kind, shape, lengths):
@@ -74,6 +75,7 @@ class SurfaceGrid:
         nonzero = self.ksq > 0
         inv[nonzero] = 1.0 / self.ksq[nonzero]
         self.inv_ksq = inv
+        self.kmin_sq = float(self.ksq[nonzero].min())
         for arr in (*self.axis_modes, self.ksq, self._dbl, self._parseval,
                     self.inv_ksq):
             arr.setflags(write=False)
@@ -174,11 +176,11 @@ class SurfaceGrid:
 
     @property
     def solves_densely(self):
-        """True on circles of up to 512 nodes, which always solve densely;
-        every other grid takes gmres.  gmres converges on such circles too,
+        """True on circles of up to 512 nodes, where MeanFreeOperator solves
+        densely; every other grid takes gmres.  gmres converges there too,
         but near the pure states it takes up to 79 operator applications a
-        Newton direction there and runs 4 to 10 times slower than the dense
-        solve (the kappa sweep's run to max|phi| 0.9997 on 32 to 128 nodes)."""
+        Newton direction and runs 4 to 10 times slower than the dense solve
+        (the kappa sweep's run to max|phi| 0.9997 on 32 to 128 nodes)."""
         return self.kind == CIRCLE and self.node_count <= 512
 
     # -- calculus on raw arrays ---------------------------------------------
@@ -267,17 +269,56 @@ class SurfaceField:
         return SurfaceField(self.grid, self.values.copy())
 
 
-def mean_free_matrix(g_mat, m, scale=1.0):
-    """G + scale P diag(m) P in a fresh buffer, with G = g_mat and P the
-    mean-free projector; P M P enters as M plus the rank-2 update
-    -(m 1' + 1 (m - mean(m))') / n, so no n^3 product is formed."""
-    n = m.size
-    # m.sum() / n equals np.mean(m) bit for bit at a fifth of its overhead
-    mat = np.add.outer((-scale / n) * m, (-scale / n) * (m - m.sum() / n))
-    mat += g_mat
-    diag = mat.reshape(-1)[::n + 1]
-    diag += scale * m
-    return mat
+class MeanFreeOperator:
+    """A x = sigma x + scale P (m x), the Newton operator of the stepper and
+    of the stationary solver, with sigma a Fourier symbol (rfft layout, zero
+    mode 1), m a nodal field and P the mean-free projector: A keeps the
+    mean of x, and on mean-free fields it is sigma + scale P diag(m) P."""
+
+    def __init__(self, grid, sigma, scale, m):
+        self.grid, self.sigma, self.scale, self.m = grid, sigma, scale, m
+
+    def apply(self, xh):
+        """A x in rfft layout, for x = ifft(xh): one transform pair."""
+        prod_h = self.grid.fft(self.m * self.grid.ifft(xh))
+        prod_h.flat[0] = 0.0
+        out = self.sigma * xh
+        out += np.multiply(self.scale, prod_h, out=prod_h)
+        return out
+
+    @property
+    def inv_precond(self):
+        """gmres's right preconditioner: 1/(sigma + scale c), zero mode 1,
+        with c the midpoint of m's range clamped at -0.9 kmin_sq."""
+        shift = max(0.5 * (float(self.m.min()) + float(self.m.max())),
+                    -0.9 * self.grid.kmin_sq)
+        prec = self.sigma + self.scale * shift
+        prec.flat[0] = 1.0
+        return 1.0 / prec
+
+    def dense_solve(self, sigma_mat, rhs, mean=0.0, spd=False):
+        """Nodal x = mean + d with A x = rhs + mean (rhs mean-free, sigma_mat
+        the circulant of sigma): (sigma_mat + scale P M P) d = rhs - scale
+        mean P m, P M P = M - (m 1' + 1 (m - <m>)')/n, by LU, or with spd by
+        Cholesky (dposv; may overwrite rhs), None if that fails."""
+        m, s, n = self.m, self.scale, self.m.size
+        # m.sum() / n equals np.mean(m) bit for bit at a fifth of its overhead
+        m_free = m - m.sum() / n
+        mat = np.add.outer((-s / n) * m, (-s / n) * m_free)
+        mat += sigma_mat
+        diag = mat.reshape(-1)[::n + 1]
+        diag += s * m
+        if mean:
+            rhs = rhs - (s * mean) * m_free
+        if not spd:
+            x = np.linalg.solve(mat, rhs)
+        else:
+            # mat is symmetric (dposv reads one triangle), so its transpose
+            # is an F-ordered matrix that LAPACK factors without a copy
+            _, x, info = dposv(mat.T, rhs, overwrite_a=True, overwrite_b=True)
+            if info != 0:
+                return None
+        return x + mean if mean else x
 
 
 def gmres(matvec, b, inv_precond, rtol, restart=60, maxiter=300):

@@ -67,7 +67,7 @@ def test_dense_step_matches_projected_matrix(n, sign, dt):
     wpp = sign * rng.uniform(1.25, 1.75, n)
     rhs = rng.standard_normal(n)
     rhs -= np.mean(rhs)
-    got = _step_solver(grid, 1.0)(wpp, rhs, dt)
+    got = _step_solver(grid)(wpp, rhs, dt)
     mat = projected_ptc_matrix(grid, wpp, dt)
     # normwise backward error in the projected matrix; the forward gap to
     # np.linalg.solve(mat, rhs) is round-off times cond(mat), up to 1.6e5
@@ -180,8 +180,7 @@ def test_capped_krylov_solve_cuts_dt(monkeypatch):
     torus = rs.SurfaceGrid.torus(16, 16)
     phi = lowpass_field(torus, 3, 0.3).values
     rhs = -steady_mod._residual_field(torus, POT, phi)
-    # kmin^2 = 1 on 2 pi sides
-    assert _step_solver(torus, 1.0)(POT.second(phi), rhs, 0.05) is None
+    assert _step_solver(torus)(POT.second(phi), rhs, 0.05) is None
 
 
 def test_random_field_is_not_a_solution():

@@ -365,7 +365,9 @@ def test_near_separation_torus_krylov_work(monkeypatch):
     traj = rs.run(st, params, rs.StepperConfig(dt=1e-2),
                   rs.Schedule(t_final=1.5, sample_stride=150))
     assert np.abs(traj.final_state.phi.values).max() > 0.998
+    # 2 564 applications in 344 directions, at most 43 in one
     assert sum(applications) <= 5000
+    assert max(applications) <= 50
 
 
 def test_nonfinite_residual_fails_at_once(monkeypatch):

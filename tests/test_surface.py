@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import raftsim as rs
-from raftsim.surface import MeanFreeError, gmres
+from conftest import lowpass_field
+from raftsim.surface import MeanFreeError, MeanFreeOperator, gmres
 
 
 @pytest.fixture(scope="module")
@@ -310,3 +311,54 @@ def test_gmres_reports_a_capped_solve(torus):
                                        restart=2, maxiter=3)
     assert not converged
     assert applications == 3 * 2 + 2  # later cycles start on a true residual
+
+
+def _newton_system(grid, case):
+    """(sigma, scale, m, mean, spd) of the stepper's Newton system (sigma =
+    S/k^2 with S its Schur symbol, scale dt, m = F'' >= 0: SPD) or of the
+    stationary solver's (sigma = 1/(dt k^2) + k^2, scale 1, m = W'' < 0:
+    dt = 10 passes the k = 1 stability limit, so it is indefinite)."""
+    well = rs.DoubleWell(theta=1.0, theta0=2.5)
+    ksq = grid.ksq
+    if case == "stepper":
+        phi = lowpass_field(grid, 9, 0.8, mean=0.1).values
+        dt, delta = 1e-2, 0.5
+        b, c = -(2.0 * dt / delta) * ksq, 1.0 + (4.0 * dt / delta) * ksq
+        schur = 1.0 + dt * ksq**2 + (dt / delta) * ksq - b**2 / c
+        sigma = schur * grid.inv_ksq
+        scale, m, mean, spd = dt, well.convex_second(phi), 0.3, True
+    else:
+        phi = lowpass_field(grid, 9, 0.2).values
+        dt = 10.0
+        sigma = grid.inv_ksq / dt + ksq
+        scale, m, mean, spd = 1.0, well.second(phi), 0.0, False
+        assert m.max() < 0.0
+    sigma[0] = 1.0
+    return sigma, scale, m, mean, spd
+
+
+@pytest.mark.parametrize("case", ["stepper", "steady"])
+def test_mean_free_operator_inversions_agree(circle, case):
+    # the dense branch and the Krylov branch invert one operator
+    sigma, scale, m, mean, spd = _newton_system(circle, case)
+    op = MeanFreeOperator(circle, sigma, scale, m)
+    n = circle.node_count
+    sigma_mat = circle.circulant(sigma)
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(n)
+    mat = sigma_mat + scale * (np.eye(n) - 1.0 / n) * m
+    want = mat @ x
+    got = circle.ifft(op.apply(circle.fft(x)))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    rhs = rng.standard_normal(n)
+    rhs -= circle.mean(rhs)
+    dense = op.dense_solve(sigma_mat, rhs, mean, spd)
+    assert circle.mean(dense) == pytest.approx(mean, abs=1e-14)
+    sol, _, converged = gmres(op.apply, circle.fft(rhs + mean),
+                              op.inv_precond, rtol=1e-12)
+    assert converged
+    gap = np.linalg.norm(circle.ifft(sol) - dense)
+    assert gap <= 1e-10 * np.linalg.norm(dense)
+    residual = np.linalg.norm(mat @ dense - rhs - mean)
+    assert residual <= 1e-12 * np.linalg.norm(rhs)
