@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import fft as _fft
 
-from .surface import SurfaceField, SurfaceGrid
+from .surface import SurfaceField, SurfaceGrid, irfft_axes, rfft_axes
 
 
 class DiskGrid:
@@ -108,7 +107,7 @@ def bulk_grad_norm_sq(f: BulkField) -> float:
     du_dr[1:-1, :] = (u[2:, :] - u[:-2, :]) / (2.0 * g.dr)
     du_dr[0, :] = (-1.5 * u[0, :] + 2.0 * u[1, :] - 0.5 * u[2, :]) / g.dr
     du_dr[-1, :] = (1.5 * u[-1, :] - 2.0 * u[-2, :] + 0.5 * u[-3, :]) / g.dr
-    uh = _fft.rfft(u, axis=1)[:, 1:-1]
+    uh = rfft_axes(u, (1,))[:, 1:-1]
     ring_sq = (2.0 / g.ntheta) * ((uh.real**2 + uh.imag**2)
                                   @ g.boundary.ksq[1:-1])
     return float((du_dr**2 * g.cell_weight[:, None]).sum()
@@ -182,10 +181,10 @@ def diffusion_step(u: BulkField, D: float, dt: float, q: SurfaceField,
         raise ValueError("flux field must live on the disk's boundary circle")
     cell, lower, cp, beta = _diffusion_factors(g, D, dt)
 
-    x = _fft.rfft(u.values, axis=1) * cell[:, None]    # (nr, nk) right side
-    x[-1] += dt * (-_fft.rfft(q.values))
+    x = rfft_axes(u.values, (1,)) * cell[:, None]    # (nr, nk) right side
+    x[-1] += dt * (-rfft_axes(q.values, (0,)))
     if source is not None:
-        x += dt * (_fft.rfft(source.values, axis=1) * cell[:, None])
+        x += dt * (rfft_axes(source.values, (1,)) * cell[:, None])
 
     rows = list(x)
     tmp = np.empty_like(rows[0])
@@ -197,4 +196,4 @@ def diffusion_step(u: BulkField, D: float, dt: float, q: SurfaceField,
     for i in range(g.nr - 2, -1, -1):
         np.multiply(cp[i], rows[i + 1], out=tmp)
         np.subtract(rows[i], tmp, out=rows[i])
-    return BulkField(g, _fft.irfft(x, n=g.ntheta, axis=1))
+    return BulkField(g, irfft_axes(x, (1,), g.ntheta))

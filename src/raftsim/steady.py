@@ -108,7 +108,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
         raise StartStateError("initial guess lives on a different grid")
     phi = init.values - grid.mean(init.values) + m
     singular = potential.kind == LOGARITHMIC
-    if singular and np.max(np.abs(phi)) > 1.0 - SEPARATION_MARGIN:
+    if singular and np.abs(phi).max() > 1.0 - SEPARATION_MARGIN:
         raise StartStateError("initial guess must satisfy max|phi| < 1")
 
     init_vals = phi.copy()
@@ -126,7 +126,7 @@ def solve_stationary_phi(grid: SurfaceGrid, potential: DoubleWell, m: float,
                 dt *= 0.5  # not a descent direction of the energy
                 continue
             alpha = 1.0
-            while (singular and np.max(np.abs(phi + alpha * dphi))
+            while (singular and np.abs(phi + alpha * dphi).max()
                    > 1.0 - SEPARATION_MARGIN):
                 alpha *= 0.5
             cand = phi + alpha * dphi

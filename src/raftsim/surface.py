@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
+from scipy.fft._pocketfft.pypocketfft import c2r, r2c
 from scipy.linalg.lapack import dposv
 
 CIRCLE = "circle"
@@ -20,6 +20,18 @@ TORUS = "torus"
 
 # relative slack of the Parseval bounds in SurfaceGrid.ifft_within
 _BOUND_SLACK = 1e-10
+
+
+# scipy.fft's rfftn and irfftn bit for bit: the pocketfft kernels that they
+# end in (backward norm, one thread), without their per-call dispatch, which
+# costs more than the transform on raftsim's grids.  No padding: c2r raises
+# ValueError unless the last axis of coeffs holds n//2 + 1 modes.
+def rfft_axes(values, axes):
+    return r2c(np.asarray(values, dtype=float), axes, True, 0, None, 1)
+
+
+def irfft_axes(coeffs, axes, n):
+    return c2r(np.asarray(coeffs, dtype=complex), axes, n, False, 2, None, 1)
 
 
 class MeanFreeError(ValueError):
@@ -55,6 +67,7 @@ class SurfaceGrid:
         self.node_count = int(np.prod(self.shape))
         self.total_measure = float(np.prod(self.lengths))
         self.node_weight = self.total_measure / self.node_count
+        self._axes = tuple(range(-len(self.shape), 0))  # leading axes batch
 
         *lead, last = self.shape
         self.axis_modes = (*(np.fft.ifftshift(np.arange(n) - n // 2)
@@ -101,14 +114,10 @@ class SurfaceGrid:
     # -- transforms --------------------------------------------------------
 
     def fft(self, values):
-        if self.kind == CIRCLE:
-            return _fft.rfft(values)
-        return _fft.rfft2(values)
+        return rfft_axes(values, self._axes)
 
     def ifft(self, coeffs):
-        if self.kind == CIRCLE:
-            return _fft.irfft(coeffs, n=self.shape[0])
-        return _fft.irfft2(coeffs, s=self.shape)
+        return irfft_axes(coeffs, self._axes, self.shape[-1])
 
     def ifft_within(self, tol, *coeffs):
         """Whether max|ifft(c)| <= tol for every c of `coeffs` (rfft layout):
@@ -171,8 +180,8 @@ class SurfaceGrid:
         if self.kind != CIRCLE:
             raise ValueError("dense operators are only built for circle grids")
         n = self.shape[0]
-        basis_h = _fft.rfft(np.eye(n), axis=0)
-        return _fft.irfft(symbol[:, None] * basis_h, n=n, axis=0)
+        basis_h = rfft_axes(np.eye(n), (0,))
+        return irfft_axes(symbol[:, None] * basis_h, (0,), n)
 
     @property
     def solves_densely(self):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 
 import raftsim as rs
 from conftest import lowpass_field
-from raftsim.surface import MeanFreeError, MeanFreeOperator, gmres
+from raftsim.surface import (MeanFreeError, MeanFreeOperator, gmres,
+                             irfft_axes, rfft_axes)
 
 
 @pytest.fixture(scope="module")
@@ -259,6 +261,74 @@ def test_field_validation(circle):
 def test_field_wrappers(circle):
     assert rs.surface_integral(rs.SurfaceField.constant(circle, 1.0)) == \
         pytest.approx(2 * np.pi, rel=1e-14)
+
+
+KERNEL_GRIDS = (rs.SurfaceGrid.circle(8), rs.SurfaceGrid.circle(128),
+                rs.SurfaceGrid.circle(1024),
+                rs.SurfaceGrid.torus(16, 32, lx=1.0, ly=3.0),
+                rs.SurfaceGrid.torus(128, 128))
+
+
+def scipy_pair(grid):
+    """scipy.fft's forward and inverse transforms over the grid's trailing
+    axes: the answers that SurfaceGrid.fft and ifft must give bit for bit."""
+    if grid.kind == "circle":
+        return sp_fft.rfft, lambda c: sp_fft.irfft(c, n=grid.shape[0])
+    return sp_fft.rfft2, lambda c: sp_fft.irfft2(c, s=grid.shape)
+
+
+def random_coeffs(rng, shape):
+    # not Hermitian on the self-conjugate modes, which irfft reads in part
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=repr)
+@pytest.mark.parametrize("batch", [(), (3,)], ids=["plain", "batched"])
+def test_kernel_pair_equals_scipy_fft(grid, batch):
+    rng = np.random.default_rng(11)
+    forward, inverse = scipy_pair(grid)
+    f = rng.standard_normal(batch + grid.shape)
+    assert np.array_equal(grid.fft(f), forward(f))
+    c = random_coeffs(rng, batch + rfft_shape(grid))
+    assert np.array_equal(grid.ifft(c), inverse(c))
+
+
+@pytest.mark.parametrize("grid", [g for g in KERNEL_GRIDS
+                                  if g.kind == "circle"], ids=repr)
+def test_circulant_equals_scipy_fft(grid):
+    n = grid.shape[0]
+    basis_h = sp_fft.rfft(np.eye(n), axis=0)
+    for symbol in (grid.lap_symbol, grid.inv_ksq):
+        want = sp_fft.irfft(symbol[:, None] * basis_h, n=n, axis=0)
+        assert np.array_equal(grid.circulant(symbol), want)
+
+
+def test_bulk_axis_transforms_equal_scipy_fft():
+    disk = rs.DiskGrid(24, 64)
+    rng = np.random.default_rng(12)
+    u = rng.standard_normal((disk.nr, disk.ntheta))
+    q = rng.standard_normal(disk.ntheta)
+    assert np.array_equal(rfft_axes(u, (1,)), sp_fft.rfft(u, axis=1))
+    assert np.array_equal(rfft_axes(q, (0,)), sp_fft.rfft(q))
+    c = random_coeffs(rng, (disk.nr, disk.ntheta // 2 + 1))
+    assert np.array_equal(irfft_axes(c, (1,), disk.ntheta),
+                          sp_fft.irfft(c, n=disk.ntheta, axis=1))
+
+
+@pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=repr)
+def test_kernel_pair_input_contract(grid):
+    # the kernels alone refuse integer and real-typed input ("unsupported
+    # data type"); the pair converts it as scipy.fft does
+    forward, inverse = scipy_pair(grid)
+    ints = np.arange(grid.node_count).reshape(grid.shape) % 7
+    assert np.array_equal(grid.fft(ints), forward(ints))
+    real_c = np.random.default_rng(13).standard_normal(rfft_shape(grid))
+    assert np.array_equal(grid.ifft(real_c), inverse(real_c))
+    # scipy.fft pads or truncates a last axis of another length; the pair
+    # refuses it
+    for width in (real_c.shape[-1] - 1, real_c.shape[-1] + 1):
+        with pytest.raises(ValueError):
+            grid.ifft(np.zeros(real_c.shape[:-1] + (width,), dtype=complex))
 
 
 @pytest.mark.parametrize("operator", ["laplacian", "inverse_laplacian"])
